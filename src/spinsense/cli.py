@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -277,10 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinsense",
         description="Spin-J rotation sensing: states, constellations, Fisher "
                     "information, bounds, and Monte Carlo estimation runs.")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("SPINSENSE_THREADS", "0")),
-                        help="cap for library-internal parallelism; all "
-                             "computations are deterministic regardless")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("state", help="construct a probe state and write it as JSON")

@@ -11,7 +11,7 @@ within about a percent of the quantum limit and suppresses the mirror peak
 by hundreds of nats at realistic shot counts.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -22,12 +22,16 @@ from .errors import (DegenerateInputError, DomainError, NonIdentifiableError,
 from .metrology import QfiMatrix, classical_fi, crb, qfi_rotation_matrix
 from .states import SpinState, coherent_state
 from .su2 import (TWO_PI, HalfInt, RotationParams, compose, generator_frame,
-                  make_operators, rotation_unitary)
+                  make_operators, omega_rotate, rotation_unitary, so3_matrix)
 
 _PSD_TOL = 1e-10
 _COMPLETENESS_TOL = 1e-9
 _ORTHO_TOL = 1e-10
 _MIN_RESOLUTION = 0.35   # rad; a CRB sigma above this flags non-identifiability
+_ROOT_TOL = 1e-12        # eigenvalues of a POVM element below this carry no weight
+_NEWTON_TOL = 1e-10      # rad; a Newton step below this has converged
+_NEWTON_MAX_ITER = 50
+_MAX_HALVINGS = 40
 
 # calibration geometry for the two-reference optimal-PVM experiment
 _DEFAULT_OFFSET_ANGLE = 0.1
@@ -38,12 +42,70 @@ _OFFSET_AXES = (
 _DEFAULT_TRIAD = np.eye(3)
 
 
+class BornKernel:
+    """Born probabilities of stacked POVMs and their rotation derivatives.
+
+    Each element is factored once as E_x = F_x F_x^dag from its
+    eigendecomposition, and the columns of every F_x stack into one
+    dim x K matrix F with the owning outcome of each column.  With
+    a = F^dag psi, b_k = F^dag J_k psi and c_kl = F^dag S_kl psi, where
+    S_kl = (J_k J_l + J_l J_k)/2, each summed over the columns of outcome x:
+
+        p_x = |a|^2,
+        dp_x/d delta_k = 2 Im conj(a) b_k,
+        d2p_x/d delta_k d delta_l = 2 Re conj(b_k) b_l - 2 Re conj(a) c_kl,
+
+    the derivatives taken in the local chart psi(delta) = exp(-i J.delta) psi
+    at delta = 0.  Outcomes of all models are concatenated in model order;
+    ``splits`` cuts the flat outcome axis back into models.
+    """
+
+    def __init__(self, element_lists):
+        elements = [e for elems in element_lists for e in elems]
+        cols, owner = [], []
+        for x, e in enumerate(elements):
+            vals, vecs = np.linalg.eigh(e)
+            keep = vals > _ROOT_TOL
+            cols.append(vecs[:, keep] * np.sqrt(vals[keep]))
+            owner += [x] * int(keep.sum())
+        dim = elements[0].shape[0]
+        self.j = HalfInt(dim - 1)
+        self.splits = np.cumsum([len(elems) for elems in element_lists])[:-1]
+        self._seg = (np.arange(len(elements))[:, None] == np.array(owner)).astype(float)
+        jv = np.stack(make_operators(self.j).vector())
+        jj = jv[:, None] @ jv[None, :]
+        sym = 0.5 * (jj + jj.transpose(1, 0, 2, 3))
+        ops = np.concatenate([np.eye(dim)[None], jv, sym.reshape(9, dim, dim)])
+        self._fh_ops = np.hstack(cols).conj().T @ ops       # F^dag O for O in 1, J, S
+
+    def probabilities(self, psi) -> np.ndarray:
+        """Outcome probabilities for psi of shape (dim,), or (dim, m) for m states."""
+        a = self._fh_ops[0] @ psi
+        return self._seg @ (a.real ** 2 + a.imag ** 2)
+
+    def loglik(self, counts, psi):
+        """sum_x counts_x log p_x over the stacked outcomes, per state in psi."""
+        return counts @ np.log(np.maximum(self.probabilities(psi), 1e-300))
+
+    def derivatives(self, psi, second: bool = False):
+        """p, dp (3 x n) and, if ``second``, d2p (3 x 3 x n) in the local chart."""
+        w = (self._fh_ops if second else self._fh_ops[:4]) @ psi
+        a, b = w[0], w[1:4]
+        p = self._seg @ (a.real ** 2 + a.imag ** 2)
+        dp = 2.0 * (a.conj() * b).imag @ self._seg.T
+        if not second:
+            return p, dp
+        d2 = (b.conj()[:, None] * b[None]).real - (a.conj() * w[4:]).real.reshape(3, 3, -1)
+        return p, dp, 2.0 * d2 @ self._seg.T
+
+
 @dataclass(frozen=True)
 class MeasurementModel:
     """Finite POVM with named outcomes."""
 
     elements: tuple
     labels: tuple
+    kernel: BornKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elems = tuple(np.asarray(e, dtype=complex) for e in self.elements)
@@ -65,15 +127,14 @@ class MeasurementModel:
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != len(elems):
             raise DomainError("need one label per POVM element")
+        object.__setattr__(self, "kernel", BornKernel([elems]))
 
     @property
     def n_outcomes(self) -> int:
         return len(self.elements)
 
     def probabilities(self, state: SpinState) -> np.ndarray:
-        psi = state.amps
-        p = np.array([np.vdot(psi, e @ psi).real for e in self.elements])
-        return np.clip(p, 0.0, None)
+        return self.kernel.probabilities(state.amps)
 
 
 @dataclass(frozen=True)
@@ -211,19 +272,14 @@ class RotationExperiment:
             raise DomainError("stage weights must be positive and sum to 1")
         self.weights = w
         self._j = probe.j
-        self._ops = make_operators(probe.j)
+        self.kernel = BornKernel([m.elements for m in self.stages])
 
     def rotated_amps(self, params: RotationParams) -> np.ndarray:
         return rotation_unitary(self._j, params) @ self.probe.amps
 
     def stage_probabilities(self, params: RotationParams) -> list:
-        psi = self.rotated_amps(params)
-        out = []
-        for model in self.stages:
-            p = np.array([np.vdot(psi, e @ psi).real for e in model.elements])
-            p = np.clip(p, 0.0, None)
-            out.append(p / p.sum())
-        return out
+        p = self.kernel.probabilities(self.rotated_amps(params))
+        return [q / q.sum() for q in np.split(p, self.kernel.splits)]
 
     def sample(self, true_params: RotationParams, n_shots: int, seed) -> list:
         true_state = SpinState(self._j, self.rotated_amps(true_params))
@@ -243,20 +299,11 @@ class RotationExperiment:
     def fisher_information(self, params: RotationParams) -> QfiMatrix:
         """Per-shot classical FI of the stage mixture at ``params``, using
         exact Born-rule derivatives dp_x/dk = 2 Im <psi|Pi_x (J.g_k)|psi>."""
-        psi = self.rotated_amps(params)
-        frame = generator_frame(params)
-        gens = [self._ops.along(frame.g_theta), self._ops.along(frame.g_cap_theta),
-                self._ops.along(frame.g_cap_phi)]
-        gpsi = [g @ psi for g in gens]
-        f = np.zeros((3, 3))
-        for weight, model in zip(self.weights, self.stages):
-            p = np.array([max(np.vdot(psi, e @ psi).real, 0.0) for e in model.elements])
-            p = p / p.sum()
-            dp = np.zeros((3, len(model.elements)))
-            for i in range(3):
-                for x, e in enumerate(model.elements):
-                    dp[i, x] = 2.0 * np.imag(np.vdot(psi, e @ gpsi[i]))
-            f += weight * classical_fi(p, dp).q
+        p, dp = self.kernel.derivatives(self.rotated_amps(params))
+        dp = generator_frame(params).matrix().T @ dp
+        splits = self.kernel.splits
+        f = sum(weight * classical_fi(q / q.sum(), d).q for weight, q, d in
+                zip(self.weights, np.split(p, splits), np.split(dp, splits, axis=1)))
         return _as_qfi(f)
 
 
@@ -297,6 +344,7 @@ def husimi_experiment(probe: SpinState, directions) -> RotationExperiment:
 
 
 _GRID_SHAPE = (16, 8, 16)
+_TABLE_CHUNK = 1024      # grid points rotated at once; bounds the table's scratch memory
 
 
 def _parameter_grid(shape=_GRID_SHAPE):
@@ -311,13 +359,11 @@ def _parameter_grid(shape=_GRID_SHAPE):
 def grid_probability_table(experiment: RotationExperiment, shape=_GRID_SHAPE):
     """Stage probabilities at every grid point, reusable across trials."""
     grid = _parameter_grid(shape)
-    tables = []
-    for params in grid:
-        tables.append(experiment.stage_probabilities(params))
-    per_stage = []
-    for s in range(len(experiment.stages)):
-        per_stage.append(np.array([t[s] for t in tables]))
-    return grid, per_stage
+    omegas = np.array([p.omega for p in grid])
+    kernel, probe = experiment.kernel, experiment.probe
+    p = np.hstack([kernel.probabilities(omega_rotate(probe.j, w, probe.amps).T)
+                   for w in np.split(omegas, range(_TABLE_CHUNK, len(grid), _TABLE_CHUNK))])
+    return grid, [(q / q.sum(axis=0)).T for q in np.split(p, kernel.splits)]
 
 
 def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
@@ -326,16 +372,27 @@ def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
                 anchor_radius: float = 0.35) -> RotationParams:
     """Maximum-likelihood rotation parameters for recorded counts.
 
-    Without an anchor, a coarse global grid over (theta, cap_theta, cap_phi)
-    seeds Nelder-Mead refinements in the Cartesian chart omega = theta*n,
-    which stays smooth through theta = 0; the best refined optimum wins.
+    The likelihood is first scored on a table of candidates; the best cells,
+    plus a few widely spread backups, start local refinements, and the best
+    refined optimum wins.
 
     Probes with a nontrivial rotational stabilizer (NOON, balanced, Kings)
     make the *global* likelihood exactly periodic under the stabilizer, so
     the rotation is only identifiable modulo that group.  Passing ``anchor``
     (the protocol's prior estimate) restricts the search to deviations within
     ``anchor_radius`` of it, which is the asymptotic local-estimation setting
-    and selects the physical copy.
+    and selects the physical copy.  The candidates are then the rotations
+    exp(-i J.w) U(anchor) on a cubic lattice of w, and each start is refined
+    by Newton's method in a moving local chart psi <- exp(-i J.delta) psi,
+    with the exact observed Hessian (a Fisher-scoring step where that Hessian
+    is not negative definite) and step halving until the log-likelihood does
+    not drop; a start converges once its Newton step is below 1e-10 rad.  A
+    start that does not converge is refined by Nelder-Mead instead.
+
+    Without an anchor, a coarse global grid over (theta, cap_theta, cap_phi)
+    seeds Nelder-Mead refinements in the Cartesian chart omega = theta*n,
+    which stays smooth through theta = 0, and restarts around the incumbent
+    optimum escape adjacent-basin traps of rugged likelihoods.
 
     A flat likelihood or a singular information matrix at the optimum raises
     NonIdentifiableError.
@@ -343,15 +400,17 @@ def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
     counts_list = [np.asarray(getattr(r, "counts", r), dtype=float) for r in records]
     if len(counts_list) != len(experiment.stages):
         raise DomainError("need one record per measurement stage")
+    kernel = experiment.kernel
+    counts = np.concatenate(counts_list)
 
     if anchor is not None:
         def to_params(w):
             return compose(anchor, RotationParams.from_omega(w))
-        step = anchor_radius / 3.0
-        axes = np.arange(-3, 4) * step
-        cand = [np.array([a, b, c]) for a in axes for b in axes for c in axes]
-        cand = [w for w in cand if np.linalg.norm(w) <= anchor_radius + 1e-12]
-        scores = np.array([experiment.loglik(counts_list, to_params(w)) for w in cand])
+        axes = np.arange(-3, 4) * (anchor_radius / 3.0)
+        cand = np.stack(np.meshgrid(axes, axes, axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        cand = cand[np.linalg.norm(cand, axis=1) <= anchor_radius + 1e-12]
+        psi_ref = experiment.rotated_amps(anchor)
+        scores = kernel.loglik(counts, omega_rotate(kernel.j, cand, psi_ref).T)
         n_refine = min(n_refine, 4)       # the local problem is well seeded
     else:
         def to_params(w):
@@ -360,8 +419,8 @@ def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
             grid_cache = grid_probability_table(experiment, grid_shape)
         grid, per_stage = grid_cache
         scores = np.zeros(len(grid))
-        for counts, table in zip(counts_list, per_stage):
-            scores += np.log(np.maximum(table, 1e-300)) @ counts
+        for c, table in zip(counts_list, per_stage):
+            scores += np.log(np.maximum(table, 1e-300)) @ c
         cand = [p.omega for p in grid]
     if float(scores.max() - scores.min()) < 1e-12:
         raise NonIdentifiableError("likelihood is flat across the parameter grid")
@@ -386,28 +445,33 @@ def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
         return -experiment.loglik(counts_list, to_params(w))
 
     def refine(w0):
-        return minimize(negloglik, w0, method="Nelder-Mead",
-                        options={"xatol": 1e-7, "fatol": 1e-7, "maxiter": 600})
+        res = minimize(negloglik, w0, method="Nelder-Mead",
+                       options={"xatol": 1e-7, "fatol": 1e-7, "maxiter": 600})
+        return float(res.fun), res.x
 
-    best_w, best_val = None, np.inf
-    for w0 in starts:
-        res = refine(w0)
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_w = res.x
-    if anchor is None:
-        # global searches on rugged (sparse-design) likelihoods: escape
-        # adjacent-basin traps by restarting around the incumbent optimum
+    if anchor is not None:
+        shots = np.concatenate([np.full(len(c), c.sum()) for c in counts_list])
+        best_val = np.inf
+        for w0 in starts:
+            rot = so3_matrix(RotationParams.from_omega(w0)) @ so3_matrix(anchor)
+            psi = omega_rotate(kernel.j, w0, psi_ref)
+            fit = _newton_fit(kernel, counts, shots, psi, rot)
+            if fit is None:
+                val, w = refine(w0)
+                fit = val, to_params(w)
+            if fit[0] < best_val:
+                best_val, estimate = fit
+    else:
+        best_val, best_w = min(map(refine, starts), key=lambda r: r[0])
         for step in (0.12, 0.25):
             for k in range(3):
                 for sign in (-1.0, 1.0):
                     w0 = best_w.copy()
                     w0[k] += sign * step
-                    res = refine(w0)
-                    if res.fun < best_val - 1e-9:
-                        best_val = float(res.fun)
-                        best_w = res.x
-    estimate = to_params(best_w)
+                    val, w = refine(w0)
+                    if val < best_val - 1e-9:
+                        best_val, best_w = val, w
+        estimate = to_params(best_w)
 
     if check_identifiable:
         fi = experiment.fisher_information(estimate)
@@ -432,6 +496,45 @@ def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
                 f"(bound sigma {sigmas.max():.2f} rad)",
                 null_directions=vecs[:, :1])
     return estimate
+
+
+def _newton_fit(kernel: BornKernel, counts, shots, psi, rot):
+    """Newton ascent of sum_x counts_x log p_x in the moving local chart
+    psi <- exp(-i J.delta) psi, from the rotated probe ``psi`` whose rotation
+    has SO(3) matrix ``rot``.  ``shots`` holds each outcome's stage total, for
+    the expected information of a Fisher-scoring step.  Returns
+    (-loglik, parameters) once the step is below _NEWTON_TOL, else None."""
+    value = kernel.loglik(counts, psi)
+    for _ in range(_NEWTON_MAX_ITER):
+        p, dp, d2p = kernel.derivatives(psi, second=True)
+        p = np.maximum(p, 1e-300)
+        ratio = counts / p
+        grad = dp @ ratio
+        hess = d2p @ ratio - (dp * (ratio / p)) @ dp.T
+        try:
+            np.linalg.cholesky(-hess)
+            curvature = -hess
+        except np.linalg.LinAlgError:       # not negative definite
+            curvature = (dp * (shots / p)) @ dp.T
+        try:
+            step = np.linalg.solve(curvature, grad)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)):
+            return None
+        if np.linalg.norm(step) < _NEWTON_TOL:
+            return -value, RotationParams.from_so3(rot)
+        for _ in range(_MAX_HALVINGS):
+            trial = omega_rotate(kernel.j, step, psi)
+            trial_value = kernel.loglik(counts, trial)
+            if trial_value >= value - 1e-12 * abs(value):   # rounding of the sum
+                break
+            step = step / 2.0
+        else:
+            return None
+        psi, value = trial, trial_value
+        rot = so3_matrix(RotationParams.from_omega(step)) @ rot
+    return None
 
 
 def estimator_stats(estimates, true_params: RotationParams):
@@ -562,8 +665,7 @@ def born_probability_model(model: MeasurementModel, probe: SpinState):
     def prob_fn(params) -> np.ndarray:
         if not isinstance(params, RotationParams):
             params = RotationParams(*np.asarray(params, dtype=float))
-        psi = rotation_unitary(probe.j, params) @ probe.amps
-        p = np.array([max(np.vdot(psi, e @ psi).real, 0.0) for e in model.elements])
+        p = model.kernel.probabilities(rotation_unitary(probe.j, params) @ probe.amps)
         return p / p.sum()
 
     return prob_fn
@@ -572,16 +674,6 @@ def born_probability_model(model: MeasurementModel, probe: SpinState):
 def born_derivatives(model: MeasurementModel, probe: SpinState,
                      params: RotationParams):
     """Exact probabilities and parameter derivatives of the Born model:
-    dp_x/dk = 2 Im <psi|Pi_x (J.g_k)|psi>."""
-    ops = make_operators(probe.j)
-    psi = rotation_unitary(probe.j, params) @ probe.amps
-    frame = generator_frame(params)
-    gens = [ops.along(frame.g_theta), ops.along(frame.g_cap_theta),
-            ops.along(frame.g_cap_phi)]
-    p = np.array([max(np.vdot(psi, e @ psi).real, 0.0) for e in model.elements])
-    dp = np.zeros((3, len(model.elements)))
-    for i, g in enumerate(gens):
-        gpsi = g @ psi
-        for x, e in enumerate(model.elements):
-            dp[i, x] = 2.0 * np.imag(np.vdot(psi, e @ gpsi))
-    return p, dp
+    dp_x/dk = 2 Im <psi|Pi_x (J.g_k)|psi>, with G_k = J.g_k."""
+    p, dp = model.kernel.derivatives(rotation_unitary(probe.j, params) @ probe.amps)
+    return p, generator_frame(params).matrix().T @ dp

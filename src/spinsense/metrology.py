@@ -15,8 +15,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, SingularInformationError
-from .su2 import (HalfInt, RotationParams, angular_momentum_moments,
-                  generator_frame, make_operators, so3_matrix)
+from .su2 import (RotationParams, angular_momentum_moments, generator_frame,
+                  so3_matrix)
 from .states import SpinState
 
 _RANK_RTOL = 1e-10      # eigenvalue <= rtol * max eigenvalue counts as null
@@ -163,15 +163,6 @@ def sld(rho: np.ndarray, drho: np.ndarray) -> SldOperator:
             if denom > _SUPPORT_TOL:
                 l[i, k] = 2.0 * d[i, k] / denom
     return SldOperator(l=v @ l @ v.conj().T)
-
-
-def rotation_generators(state_j: HalfInt, p: RotationParams):
-    """Operators G_k = J . g_k(p) for the three rotation parameters,
-    acting on states already rotated to the parameter point p."""
-    ops = make_operators(state_j)
-    frame = generator_frame(p)
-    return [ops.along(frame.g_theta), ops.along(frame.g_cap_theta),
-            ops.along(frame.g_cap_phi)]
 
 
 PARAM_LABELS_SPHERICAL = ("theta", "cap_theta", "cap_phi")
@@ -386,25 +377,6 @@ def rotation_qfi_perturber(state: SpinState, p: RotationParams):
     return perturbed
 
 
-def _inv3(m: np.ndarray):
-    """Closed-form adjugate inverse of a 3x3 matrix plus its condition number."""
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    adj = np.array([
-        [e * i - f * h, c * h - b * i, b * f - c * e],
-        [f * g - d * i, a * i - c * g, c * d - a * f],
-        [d * h - e * g, b * g - a * h, a * e - b * d],
-    ])
-    det = a * adj[0, 0] + b * adj[1, 0] + c * adj[2, 0]
-    if det == 0.0:
-        raise np.linalg.LinAlgError("singular 3x3 matrix")
-    inv = adj / det
-    svals = np.linalg.svd(m, compute_uv=False)
-    cond = math.inf if svals[-1] == 0.0 else float(svals[0] / svals[-1])
-    return inv, cond
-
-
 @dataclass(frozen=True)
 class CrbBound:
     """Cramer-Rao covariance lower bound (1/N) F^-1."""
@@ -423,12 +395,6 @@ def crb(fi: QfiMatrix, n_shots: int = 1) -> CrbBound:
         raise SingularInformationError(
             "information matrix is singular; run singular_diagnosis to find "
             "the estimable parameter combinations", matrix=fi.q)
-    if fi.dim == 3:
-        inv, cond = _inv3(fi.q)
-    else:
-        inv = np.linalg.inv(fi.q)
-        svals = np.linalg.svd(fi.q, compute_uv=False)
-        cond = float(svals[0] / svals[-1])
-    bound = inv / n_shots
+    bound = np.linalg.inv(fi.q) / n_shots
     return CrbBound(bound=bound, trace=float(np.trace(bound)),
-                    n_shots=n_shots, cond=cond)
+                    n_shots=n_shots, cond=float(np.linalg.cond(fi.q)))

@@ -254,6 +254,17 @@ def _omega_of(raw: np.ndarray) -> np.ndarray:
     return t * np.array([st * math.cos(cp), st * math.sin(cp), math.cos(ct)])
 
 
+def omega_rotate(j: HalfInt, omega, amps) -> np.ndarray:
+    """exp(-i J.omega) amps for a rotation vector omega, or for each vector of
+    a stack of shape (..., 3) (result (..., dim)), by batched Hermitian
+    eigendecomposition; no unitary is formed."""
+    h = np.tensordot(np.asarray(omega, dtype=float), np.stack(make_operators(j).vector()),
+                     axes=(-1, 0))
+    vals, vecs = np.linalg.eigh(h)
+    coef = np.exp(-1j * vals) * (np.conj(amps) @ vecs).conj()     # e^{-i vals} V^dag amps
+    return np.einsum("...ik,...k->...i", vecs, coef)
+
+
 def _unitary_raw(j: HalfInt, raw: np.ndarray) -> np.ndarray:
     """exp(-i J.omega(raw)) without range validation (finite differences may
     step slightly outside the declared parameter ranges)."""

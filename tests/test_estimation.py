@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_params
+from spinsense import estimation
 from spinsense.errors import (DegenerateInputError, DomainError,
                               NonIdentifiableError)
 from spinsense.estimation import (EstimationReport, MeasurementModel, ShotRecord,
@@ -16,7 +17,8 @@ from spinsense.majorana import husimi
 from spinsense.metrology import classical_fi, qfi_rotation_matrix
 from spinsense.states import (BlochPoint, SpinState, basis_state, coherent_state,
                               king_state, noon_state)
-from spinsense.su2 import HalfInt, RotationParams, compose, rotation_unitary
+from spinsense.su2 import (HalfInt, RotationParams, compose, omega_rotate,
+                           rotation_unitary)
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +239,42 @@ class TestMlEstimate:
             ml_estimate(zero, exp, anchor=RotationParams(0.8, 1.1, 2.3))
 
 
+def _king_j3_trials(probe, n_trials):
+    """The configs/king_j3.json protocol: anchored at the true rotation,
+    10^4 shots, trial seeds (7, trial)."""
+    p_true = RotationParams(0.8, 1.1, 2.3)
+    exp = optimal_pvm_experiment(probe, p_true)
+    return exp, p_true, [exp.sample(p_true, 10_000, (7, t)) for t in range(n_trials)]
+
+
+class TestAnchoredNewton:
+    def test_no_start_falls_back_to_nelder_mead(self, king3, monkeypatch):
+        calls = []
+        minimize = estimation.minimize
+
+        def counting_minimize(*args, **kwargs):
+            calls.append(args)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "minimize", counting_minimize)
+        exp, p_true, trials = _king_j3_trials(king3, 20)
+        for records in trials:
+            ml_estimate(records, exp, anchor=p_true)
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("family", [king_state, noon_state])
+    def test_estimates_match_nelder_mead(self, family, monkeypatch):
+        # the reference refines every start by Nelder-Mead, the fallback path
+        exp, p_true, trials = _king_j3_trials(family(HalfInt(6)), 20)
+        newton = [ml_estimate(r, exp, anchor=p_true) for r in trials]
+        monkeypatch.setattr(estimation, "_newton_fit", lambda *args: None)
+        reference = [ml_estimate(r, exp, anchor=p_true) for r in trials]
+        for a, b in zip(newton, reference):
+            d = a.as_array() - b.as_array()
+            d[2] = (d[2] + math.pi) % (2.0 * math.pi) - math.pi
+            assert np.max(np.abs(d)) < 1e-6, (a, b)
+
+
 class TestEstimatorStats:
     def test_exact_on_truth(self):
         truth = RotationParams(0.5, 1.0, 2.0)
@@ -291,6 +329,35 @@ class TestBornModel:
             dn[i] -= h
             fd = (prob_fn(up) - prob_fn(dn)) / (2.0 * h)
             assert np.max(np.abs(fd - dp[i])) < 1e-7
+
+
+class TestBornKernel:
+    @pytest.mark.parametrize("design", ["king_pvm", "husimi"])
+    def test_local_chart_derivatives_match_finite_differences(
+            self, design, king3, demo_j2_state):
+        if design == "king_pvm":
+            probe = king3
+            stages = optimal_pvm_experiment(king3, RotationParams(0.8, 1.1, 2.3)).stages
+        else:
+            probe = demo_j2_state
+            stages = husimi_design(probe.j, [BlochPoint(0.8, 0.4)])
+        kernel = estimation.BornKernel([m.elements for m in stages])
+        psi = rotation_unitary(probe.j, RotationParams(0.9, 1.0, 2.1)) @ probe.amps
+        p, dp, d2p = kernel.derivatives(psi, second=True)
+        expect = [np.vdot(psi, e @ psi).real for m in stages for e in m.elements]
+        assert np.max(np.abs(p - expect)) < 1e-14
+
+        def p_at(delta):
+            return kernel.probabilities(omega_rotate(probe.j, delta, psi))
+
+        e1, e2 = 1e-5 * np.eye(3), 5e-5 * np.eye(3)
+        for k in range(3):
+            fd = (p_at(e1[k]) - p_at(-e1[k])) / 2e-5
+            assert np.max(np.abs(fd - dp[k])) < 1e-6
+            for l in range(3):
+                fd2 = (p_at(e2[k] + e2[l]) - p_at(e2[k] - e2[l]) - p_at(e2[l] - e2[k])
+                       + p_at(-e2[k] - e2[l])) / (4.0 * 5e-5 ** 2)
+                assert np.max(np.abs(fd2 - d2p[k, l])) < 1e-6
 
 
 class TestFisherSaturation:
