@@ -12,6 +12,7 @@ by hundreds of nats at realistic shot counts.
 """
 
 from dataclasses import dataclass, field
+import logging
 import math
 
 import numpy as np
@@ -32,6 +33,8 @@ _ROOT_TOL = 1e-12        # eigenvalues of a POVM element below this carry no wei
 _NEWTON_TOL = 1e-10      # rad; a Newton step below this has converged
 _NEWTON_MAX_ITER = 50
 _MAX_HALVINGS = 40
+
+_log = logging.getLogger("spinsense")
 
 # calibration geometry for the two-reference optimal-PVM experiment
 _DEFAULT_OFFSET_ANGLE = 0.1
@@ -373,8 +376,14 @@ def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
     """Maximum-likelihood rotation parameters for recorded counts.
 
     The likelihood is first scored on a table of candidates; the best cells,
-    plus a few widely spread backups, start local refinements, and the best
-    refined optimum wins.
+    plus a few widely spread backup starts, start local refinements, and the
+    best refined optimum wins.  Each start w0 is refined by Newton's method
+    in a moving local chart psi <- exp(-i J.delta) psi, from
+    psi = exp(-i J.w0) psi_base, with the exact observed Hessian (a
+    Fisher-scoring step where that Hessian is not negative definite) and
+    step halving until the log-likelihood does not drop; a start converges
+    once its Newton step is below 1e-10 rad.  A start that does not converge
+    is refined by Nelder-Mead instead.
 
     Probes with a nontrivial rotational stabilizer (NOON, balanced, Kings)
     make the *global* likelihood exactly periodic under the stabilizer, so
@@ -382,17 +391,15 @@ def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
     (the protocol's prior estimate) restricts the search to deviations within
     ``anchor_radius`` of it, which is the asymptotic local-estimation setting
     and selects the physical copy.  The candidates are then the rotations
-    exp(-i J.w) U(anchor) on a cubic lattice of w, and each start is refined
-    by Newton's method in a moving local chart psi <- exp(-i J.delta) psi,
-    with the exact observed Hessian (a Fisher-scoring step where that Hessian
-    is not negative definite) and step halving until the log-likelihood does
-    not drop; a start converges once its Newton step is below 1e-10 rad.  A
-    start that does not converge is refined by Nelder-Mead instead.
+    exp(-i J.w) U(anchor) on a cubic lattice of w, and psi_base is
+    U(anchor) probe.
 
-    Without an anchor, a coarse global grid over (theta, cap_theta, cap_phi)
-    seeds Nelder-Mead refinements in the Cartesian chart omega = theta*n,
-    which stays smooth through theta = 0, and restarts around the incumbent
-    optimum escape adjacent-basin traps of rugged likelihoods.
+    Without an anchor, the candidates are a coarse global grid over (theta,
+    cap_theta, cap_phi), w is the Cartesian rotation vector omega =
+    theta*n, which stays smooth through theta = 0, and psi_base is the
+    probe.  After the grid starts, twelve restarts at 0.12 and 0.25 rad
+    along +-x, +-y and +-z of the incumbent optimum escape adjacent-basin
+    traps of rugged likelihoods.
 
     A flat likelihood or a singular information matrix at the optimum raises
     NonIdentifiableError.
@@ -409,9 +416,10 @@ def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
         axes = np.arange(-3, 4) * (anchor_radius / 3.0)
         cand = np.stack(np.meshgrid(axes, axes, axes, indexing="ij"), axis=-1).reshape(-1, 3)
         cand = cand[np.linalg.norm(cand, axis=1) <= anchor_radius + 1e-12]
-        psi_ref = experiment.rotated_amps(anchor)
-        scores = kernel.loglik(counts, omega_rotate(kernel.j, cand, psi_ref).T)
+        base_psi, base_rot = experiment.rotated_amps(anchor), so3_matrix(anchor)
+        scores = kernel.loglik(counts, omega_rotate(kernel.j, cand, base_psi).T)
         n_refine = min(n_refine, 4)       # the local problem is well seeded
+        shifts = []
     else:
         def to_params(w):
             return RotationParams.from_omega(w)
@@ -422,6 +430,11 @@ def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
         for c, table in zip(counts_list, per_stage):
             scores += np.log(np.maximum(table, 1e-300)) @ c
         cand = [p.omega for p in grid]
+        base_psi, base_rot = experiment.probe.amps, np.eye(3)
+        # restarts around the incumbent escape adjacent-basin traps of
+        # rugged global likelihoods
+        shifts = [sign * step * axis for step in (0.12, 0.25) for axis in np.eye(3)
+                  for sign in (-1.0, 1.0)]
     if float(scores.max() - scores.min()) < 1e-12:
         raise NonIdentifiableError("likelihood is flat across the parameter grid")
 
@@ -444,34 +457,23 @@ def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
     def negloglik(w):
         return -experiment.loglik(counts_list, to_params(w))
 
-    def refine(w0):
-        res = minimize(negloglik, w0, method="Nelder-Mead",
-                       options={"xatol": 1e-7, "fatol": 1e-7, "maxiter": 600})
-        return float(res.fun), res.x
-
-    if anchor is not None:
-        shots = np.concatenate([np.full(len(c), c.sum()) for c in counts_list])
-        best_val = np.inf
-        for w0 in starts:
-            rot = so3_matrix(RotationParams.from_omega(w0)) @ so3_matrix(anchor)
-            psi = omega_rotate(kernel.j, w0, psi_ref)
-            fit = _newton_fit(kernel, counts, shots, psi, rot)
-            if fit is None:
-                val, w = refine(w0)
-                fit = val, to_params(w)
-            if fit[0] < best_val:
-                best_val, estimate = fit
-    else:
-        best_val, best_w = min(map(refine, starts), key=lambda r: r[0])
-        for step in (0.12, 0.25):
-            for k in range(3):
-                for sign in (-1.0, 1.0):
-                    w0 = best_w.copy()
-                    w0[k] += sign * step
-                    val, w = refine(w0)
-                    if val < best_val - 1e-9:
-                        best_val, best_w = val, w
-        estimate = to_params(best_w)
+    shots = np.concatenate([np.full(len(c), c.sum()) for c in counts_list])
+    best_val = np.inf
+    for i, w0 in enumerate(starts + shifts):
+        restart = i >= len(starts)
+        if restart:
+            w0 = best_w + w0
+        fit = _newton_fit(kernel, counts, shots, w0, base_psi, base_rot)
+        if fit is not None:
+            val, rot = fit
+            w = RotationParams.from_so3(rot @ base_rot.T).omega
+            params = RotationParams.from_so3(rot)
+        else:
+            res = minimize(negloglik, w0, method="Nelder-Mead",
+                           options={"xatol": 1e-7, "fatol": 1e-7, "maxiter": 600})
+            val, w, params = float(res.fun), res.x, to_params(res.x)
+        if val < best_val - (1e-9 if restart else 0.0):
+            best_val, best_w, estimate = val, w, params
 
     if check_identifiable:
         fi = experiment.fisher_information(estimate)
@@ -498,13 +500,17 @@ def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
     return estimate
 
 
-def _newton_fit(kernel: BornKernel, counts, shots, psi, rot):
+def _newton_fit(kernel: BornKernel, counts, shots, w0, base_psi, base_rot):
     """Newton ascent of sum_x counts_x log p_x in the moving local chart
-    psi <- exp(-i J.delta) psi, from the rotated probe ``psi`` whose rotation
-    has SO(3) matrix ``rot``.  ``shots`` holds each outcome's stage total, for
-    the expected information of a Fisher-scoring step.  Returns
-    (-loglik, parameters) once the step is below _NEWTON_TOL, else None."""
+    psi <- exp(-i J.delta) psi, from psi = exp(-i J.w0) base_psi, whose
+    rotation has SO(3) matrix so3(w0) base_rot.  ``shots`` holds each
+    outcome's stage total, for the expected information of a Fisher-scoring
+    step.  Returns (-loglik, SO(3) matrix) once the step is below
+    _NEWTON_TOL, else logs why at debug level and returns None."""
+    psi = omega_rotate(kernel.j, w0, base_psi)
+    rot = so3_matrix(RotationParams.from_omega(w0)) @ base_rot
     value = kernel.loglik(counts, psi)
+    reason = f"no convergence in {_NEWTON_MAX_ITER} iterations"
     for _ in range(_NEWTON_MAX_ITER):
         p, dp, d2p = kernel.derivatives(psi, second=True)
         p = np.maximum(p, 1e-300)
@@ -519,11 +525,13 @@ def _newton_fit(kernel: BornKernel, counts, shots, psi, rot):
         try:
             step = np.linalg.solve(curvature, grad)
         except np.linalg.LinAlgError:
-            return None
+            reason = "singular curvature"
+            break
         if not np.all(np.isfinite(step)):
-            return None
+            reason = "non-finite step"
+            break
         if np.linalg.norm(step) < _NEWTON_TOL:
-            return -value, RotationParams.from_so3(rot)
+            return -value, rot
         for _ in range(_MAX_HALVINGS):
             trial = omega_rotate(kernel.j, step, psi)
             trial_value = kernel.loglik(counts, trial)
@@ -531,9 +539,11 @@ def _newton_fit(kernel: BornKernel, counts, shots, psi, rot):
                 break
             step = step / 2.0
         else:
-            return None
+            reason = f"log-likelihood still drops after {_MAX_HALVINGS} step halvings"
+            break
         psi, value = trial, trial_value
         rot = so3_matrix(RotationParams.from_omega(step)) @ rot
+    _log.debug("Newton refinement from w0 = %s fell back to Nelder-Mead: %s", w0, reason)
     return None
 
 
@@ -541,14 +551,15 @@ def estimator_stats(estimates, true_params: RotationParams):
     """Per-parameter MSE = variance + bias^2 decomposition and SNR.
 
     Sample moments use the population convention (ddof = 0) so the
-    decomposition identity is exact.  Azimuthal residuals are wrapped into
-    (-pi, pi].
+    decomposition identity is exact.  Each estimate is taken in whichever of
+    its two equivalent forms (theta, cap_theta, cap_phi) and (2 pi - theta,
+    pi - cap_theta, cap_phi + pi) lies nearer the truth, and azimuthal
+    residuals are wrapped into (-pi, pi].
     """
-    arr = _estimates_array(estimates)
-    if arr.shape[0] < 2:
+    deltas = _residuals(estimates, true_params)
+    if deltas.shape[0] < 2:
         raise DomainError("need at least 2 estimates")
     truth = true_params.as_array()
-    deltas = _wrap_deltas(arr - truth[None, :])
     mean_delta = deltas.mean(axis=0)
     variance = deltas.var(axis=0)
     bias_sq = mean_delta ** 2
@@ -572,10 +583,23 @@ def _estimates_array(estimates) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _wrap_deltas(deltas: np.ndarray) -> np.ndarray:
-    out = deltas.copy()
-    out[:, 2] = (out[:, 2] + math.pi) % TWO_PI - math.pi
-    return out
+def _residuals(estimates, true_params: RotationParams) -> np.ndarray:
+    """Estimates minus the truth, with cap_phi wrapped into (-pi, pi].
+
+    (theta, cap_theta, cap_phi) and (2 pi - theta, pi - cap_theta,
+    cap_phi + pi) are the same rotation; each estimate is taken in whichever
+    form lies nearer the truth, so that near theta = pi the residuals do not
+    depend on the form a fit returns."""
+    arr = _estimates_array(estimates)
+    twin = np.column_stack([TWO_PI - arr[:, 0], math.pi - arr[:, 1], arr[:, 2] + math.pi])
+    truth = true_params.as_array()
+    deltas = []
+    for a in (arr, twin):
+        d = a - truth[None, :]
+        d[:, 2] = (d[:, 2] + math.pi) % TWO_PI - math.pi
+        deltas.append(d)
+    nearer = np.sum(deltas[1] ** 2, axis=1) < np.sum(deltas[0] ** 2, axis=1)
+    return np.where(nearer[:, None], deltas[1], deltas[0])
 
 
 def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
@@ -628,9 +652,8 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
             f"{n_failed}/{n_trials} trials failed to produce an estimate",
             failed_fraction=n_failed / n_trials)
 
-    arr = _estimates_array(estimates)
     truth = true_params.as_array()
-    deltas = _wrap_deltas(arr - truth[None, :])
+    deltas = _residuals(estimates, true_params)
     emp_cov = np.cov(deltas.T, ddof=0) if len(deltas) > 1 else np.zeros((3, 3))
     stats = estimator_stats(estimates, true_params)
     mean = truth + deltas.mean(axis=0)

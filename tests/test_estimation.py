@@ -1,9 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from conftest import random_params
+from conftest import DEMO_J2_AMPS, random_params
 from spinsense import estimation
 from spinsense.errors import (DegenerateInputError, DomainError,
                               NonIdentifiableError)
@@ -239,16 +240,41 @@ class TestMlEstimate:
             ml_estimate(zero, exp, anchor=RotationParams(0.8, 1.1, 2.3))
 
 
+GPS_J2_DIRECTIONS = [BlochPoint(0.8, 0.4), BlochPoint(1.9, 2.1), BlochPoint(1.2, 4.4),
+                     BlochPoint(2.6, 5.6)]
+
+
 def _king_j3_trials(probe, n_trials):
     """The configs/king_j3.json protocol: anchored at the true rotation,
     10^4 shots, trial seeds (7, trial)."""
     p_true = RotationParams(0.8, 1.1, 2.3)
     exp = optimal_pvm_experiment(probe, p_true)
-    return exp, p_true, [exp.sample(p_true, 10_000, (7, t)) for t in range(n_trials)]
+    return exp, {"anchor": p_true}, [exp.sample(p_true, 10_000, (7, t))
+                                     for t in range(n_trials)]
 
 
-class TestAnchoredNewton:
-    def test_no_start_falls_back_to_nelder_mead(self, king3, monkeypatch):
+def _gps_j2_trials(n_trials):
+    """The configs/gps_j2.json protocol: the figure-3 probe, its four Husimi
+    directions, 4 x 10^5 shots, the (24, 16, 24) grid table and trial seeds
+    (21, trial); no anchor."""
+    p_true = RotationParams(0.9, 1.2, 0.7)
+    exp = husimi_experiment(SpinState.from_amplitudes(HalfInt(4), DEMO_J2_AMPS),
+                            GPS_J2_DIRECTIONS)
+    cache = grid_probability_table(exp, (24, 16, 24))
+    return exp, {"grid_cache": cache}, [exp.sample(p_true, 400_000, (21, t))
+                                        for t in range(n_trials)]
+
+
+PROTOCOLS = {
+    "king_j3": lambda n: _king_j3_trials(king_state(HalfInt(6)), n),
+    "noon_j3": lambda n: _king_j3_trials(noon_state(HalfInt(6)), n),
+    "gps_j2": _gps_j2_trials,
+}
+
+
+class TestNewtonRefinement:
+    @pytest.mark.parametrize("protocol", ["king_j3", "gps_j2"])
+    def test_no_start_falls_back_to_nelder_mead(self, protocol, monkeypatch):
         calls = []
         minimize = estimation.minimize
 
@@ -257,22 +283,34 @@ class TestAnchoredNewton:
             return minimize(*args, **kwargs)
 
         monkeypatch.setattr(estimation, "minimize", counting_minimize)
-        exp, p_true, trials = _king_j3_trials(king3, 20)
+        exp, kwargs, trials = PROTOCOLS[protocol](20)
         for records in trials:
-            ml_estimate(records, exp, anchor=p_true)
+            ml_estimate(records, exp, **kwargs)
         assert len(calls) == 0
 
-    @pytest.mark.parametrize("family", [king_state, noon_state])
-    def test_estimates_match_nelder_mead(self, family, monkeypatch):
+    @pytest.mark.parametrize("protocol", ["king_j3", "noon_j3", "gps_j2"])
+    def test_estimates_match_nelder_mead(self, protocol, monkeypatch):
         # the reference refines every start by Nelder-Mead, the fallback path
-        exp, p_true, trials = _king_j3_trials(family(HalfInt(6)), 20)
-        newton = [ml_estimate(r, exp, anchor=p_true) for r in trials]
+        exp, kwargs, trials = PROTOCOLS[protocol](20)
+        newton = [ml_estimate(r, exp, **kwargs) for r in trials]
         monkeypatch.setattr(estimation, "_newton_fit", lambda *args: None)
-        reference = [ml_estimate(r, exp, anchor=p_true) for r in trials]
+        reference = [ml_estimate(r, exp, **kwargs) for r in trials]
         for a, b in zip(newton, reference):
             d = a.as_array() - b.as_array()
             d[2] = (d[2] + math.pi) % (2.0 * math.pi) - math.pi
             assert np.max(np.abs(d)) < 1e-6, (a, b)
+
+    def test_fallback_logs_its_reason(self, king3, monkeypatch, caplog):
+        monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
+        exp, kwargs, trials = _king_j3_trials(king3, 1)
+        with caplog.at_level(logging.DEBUG, logger="spinsense"):
+            ml_estimate(trials[0], exp, **kwargs)
+        events = [r for r in caplog.records if r.name == "spinsense"]
+        assert events     # one per start, each naming the reason and the start
+        for r in events:
+            assert r.levelno == logging.DEBUG
+            assert "no convergence in 0 iterations" in r.getMessage()
+            assert "w0 = [" in r.getMessage()
 
 
 class TestEstimatorStats:
@@ -309,6 +347,17 @@ class TestEstimatorStats:
         truth = RotationParams(0.5, 1.0, 2.0)
         with pytest.raises(DomainError):
             estimator_stats([truth], truth)
+
+    def test_moments_independent_of_the_form_near_pi(self):
+        # (theta, T, F) and (2 pi - theta, pi - T, F + pi) are one rotation
+        rng = np.random.default_rng(53)
+        truth = RotationParams(3.1, 1.2, 0.7)
+        near = [truth.as_array() + 0.05 * rng.standard_normal(3) for _ in range(40)]
+        mixed = [RotationParams(2.0 * math.pi - t, math.pi - T, F + math.pi) if i % 2
+                 else RotationParams(t, T, F) for i, (t, T, F) in enumerate(near)]
+        one, two = estimator_stats(near, truth), estimator_stats(mixed, truth)
+        for key in ("mse", "bias_sq", "variance", "mean_estimate"):
+            assert np.allclose(one[key], two[key], rtol=1e-12, atol=1e-12), key
 
 
 class TestBornModel:
@@ -433,6 +482,13 @@ class TestMonteCarlo:
         big = monte_carlo_qcrb(king3, p_true, "optimal_pvm", 4000, 150, 32)
         ratio = float(np.trace(big.empirical_cov) / np.trace(small.empirical_cov))
         assert 0.4 < ratio < 0.6
+
+    def test_husimi_covariance_near_pi(self, demo_j2_state):
+        # estimates straddle theta = pi and come back in either form
+        rep = monte_carlo_qcrb(demo_j2_state, RotationParams(3.1, 1.2, 0.7), "husimi",
+                               400_000, 20, 3, directions=GPS_J2_DIRECTIONS)
+        assert rep.n_failed == 0
+        assert float(np.trace(rep.empirical_cov)) < 1e-2
 
     def test_unknown_scheme(self, king3):
         with pytest.raises(DomainError):
