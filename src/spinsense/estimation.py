@@ -16,14 +16,13 @@ import logging
 import math
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (DegenerateInputError, DomainError, NonIdentifiableError,
                      UnreliableRunError)
 from .metrology import QfiMatrix, classical_fi, crb, qfi_rotation_matrix
 from .states import SpinState, coherent_state
 from .su2 import (TWO_PI, HalfInt, RotationParams, compose, generator_frame,
-                  make_operators, omega_rotate, rotation_unitary, so3_matrix)
+                  make_operators, omega_rotate, omega_so3, rotation_unitary, so3_matrix)
 
 _PSD_TOL = 1e-10
 _COMPLETENESS_TOL = 1e-9
@@ -45,6 +44,13 @@ _OFFSET_AXES = (
 _DEFAULT_TRIAD = np.eye(3)
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first use: only the Nelder-Mead
+    fallback of ml_estimate needs it, and importing it is slow."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
+
 class BornKernel:
     """Born probabilities of stacked POVMs and their rotation derivatives.
 
@@ -60,7 +66,9 @@ class BornKernel:
 
     the derivatives taken in the local chart psi(delta) = exp(-i J.delta) psi
     at delta = 0.  Outcomes of all models are concatenated in model order;
-    ``splits`` cuts the flat outcome axis back into models.
+    ``splits`` cuts the flat outcome axis back into models.  A state is a
+    vector of shape (dim,), or a stack of shape (..., dim) of states whose
+    results share the stack's leading axes.
     """
 
     def __init__(self, element_lists):
@@ -74,32 +82,34 @@ class BornKernel:
         dim = elements[0].shape[0]
         self.j = HalfInt(dim - 1)
         self.splits = np.cumsum([len(elems) for elems in element_lists])[:-1]
-        self._seg = (np.arange(len(elements))[:, None] == np.array(owner)).astype(float)
+        self._seg_t = (np.array(owner)[:, None] == np.arange(len(elements))).astype(float)
         jv = np.stack(make_operators(self.j).vector())
         jj = jv[:, None] @ jv[None, :]
         sym = 0.5 * (jj + jj.transpose(1, 0, 2, 3))
         ops = np.concatenate([np.eye(dim)[None], jv, sym.reshape(9, dim, dim)])
-        self._fh_ops = np.hstack(cols).conj().T @ ops       # F^dag O for O in 1, J, S
+        # (F^dag O)^T for O in 1, J, S: a state row times it gives F^dag O psi
+        self._ops_f = (np.hstack(cols).conj().T @ ops).transpose(0, 2, 1).copy()
 
     def probabilities(self, psi) -> np.ndarray:
-        """Outcome probabilities for psi of shape (dim,), or (dim, m) for m states."""
-        a = self._fh_ops[0] @ psi
-        return self._seg @ (a.real ** 2 + a.imag ** 2)
+        """Outcome probabilities, shape (..., n) for psi of shape (..., dim)."""
+        a = psi @ self._ops_f[0]
+        return (a.real ** 2 + a.imag ** 2) @ self._seg_t
 
     def loglik(self, counts, psi):
         """sum_x counts_x log p_x over the stacked outcomes, per state in psi."""
-        return counts @ np.log(np.maximum(self.probabilities(psi), 1e-300))
+        return np.log(np.maximum(self.probabilities(psi), 1e-300)) @ counts
 
     def derivatives(self, psi, second: bool = False):
-        """p, dp (3 x n) and, if ``second``, d2p (3 x 3 x n) in the local chart."""
-        w = (self._fh_ops if second else self._fh_ops[:4]) @ psi
+        """p (..., n), dp (3, ..., n) and, if ``second``, d2p (3, 3, ..., n)
+        in the local chart."""
+        w = psi @ (self._ops_f if second else self._ops_f[:4])
         a, b = w[0], w[1:4]
-        p = self._seg @ (a.real ** 2 + a.imag ** 2)
-        dp = 2.0 * (a.conj() * b).imag @ self._seg.T
+        p = (a.real ** 2 + a.imag ** 2) @ self._seg_t
+        dp = 2.0 * (a.conj() * b).imag @ self._seg_t
         if not second:
             return p, dp
-        d2 = (b.conj()[:, None] * b[None]).real - (a.conj() * w[4:]).real.reshape(3, 3, -1)
-        return p, dp, 2.0 * d2 @ self._seg.T
+        d2 = (b.conj()[:, None] * b[None]).real - (a.conj() * w[4:]).real.reshape(3, 3, *a.shape)
+        return p, dp, 2.0 * d2 @ self._seg_t
 
 
 @dataclass(frozen=True)
@@ -347,43 +357,62 @@ def husimi_experiment(probe: SpinState, directions) -> RotationExperiment:
 
 
 _GRID_SHAPE = (16, 8, 16)
-_TABLE_CHUNK = 1024      # grid points rotated at once; bounds the table's scratch memory
+_ANCHOR_RADIUS = 0.35
+_TABLE_CHUNK = 1024      # candidates rotated at once; bounds the table's scratch memory
+# restarts at 0.12 and 0.25 rad along +-x, +-y and +-z of the incumbent
+_RESTARTS = np.array([sign * step * axis for step in (0.12, 0.25) for axis in np.eye(3)
+                      for sign in (-1.0, 1.0)])
 
 
-def _parameter_grid(shape=_GRID_SHAPE):
-    n_t, n_T, n_F = shape
-    thetas = (np.arange(n_t) + 0.5) * math.pi / n_t
-    caps = (np.arange(n_T) + 0.5) * math.pi / n_T
-    phis = (np.arange(n_F) + 0.5) * TWO_PI / n_F
-    grid = [RotationParams(t, T, F) for t in thetas for T in caps for F in phis]
-    return grid
+def grid_probability_table(experiment: RotationExperiment, shape=_GRID_SHAPE,
+                           anchor: RotationParams = None,
+                           anchor_radius: float = _ANCHOR_RADIUS):
+    """Candidate rotation vectors w, shape (n, 3), and each stage's outcome
+    probabilities at them, shape (n, outcomes).  They depend only on the
+    experiment, so one table serves every trial of a study.
 
-
-def grid_probability_table(experiment: RotationExperiment, shape=_GRID_SHAPE):
-    """Stage probabilities at every grid point, reusable across trials."""
-    grid = _parameter_grid(shape)
-    omegas = np.array([p.omega for p in grid])
-    kernel, probe = experiment.kernel, experiment.probe
-    p = np.hstack([kernel.probabilities(omega_rotate(probe.j, w, probe.amps).T)
-                   for w in np.split(omegas, range(_TABLE_CHUNK, len(grid), _TABLE_CHUNK))])
-    return grid, [(q / q.sum(axis=0)).T for q in np.split(p, kernel.splits)]
+    Without an anchor the candidates are the rotation vectors omega of a
+    ``shape`` grid over (theta, cap_theta, cap_phi), applied to the probe.
+    With one they are a cubic lattice of w within ``anchor_radius``, applied
+    to U(anchor) probe (see ml_estimate), and ``shape`` is unused.
+    """
+    if anchor is None:
+        n_t, n_T, n_F = shape
+        t, T, F = np.meshgrid((np.arange(n_t) + 0.5) * math.pi / n_t,
+                              (np.arange(n_T) + 0.5) * math.pi / n_T,
+                              (np.arange(n_F) + 0.5) * TWO_PI / n_F, indexing="ij")
+        axis = np.stack([np.sin(T) * np.cos(F), np.sin(T) * np.sin(F), np.cos(T)], axis=-1)
+        w = (t[..., None] * axis).reshape(-1, 3)
+        psi = experiment.probe.amps
+    else:
+        axes = np.arange(-3, 4) * (anchor_radius / 3.0)
+        w = np.stack(np.meshgrid(axes, axes, axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        w = w[np.linalg.norm(w, axis=1) <= anchor_radius + 1e-12]
+        psi = experiment.rotated_amps(anchor)
+    kernel = experiment.kernel
+    p = np.vstack([kernel.probabilities(omega_rotate(kernel.j, chunk, psi))
+                   for chunk in np.split(w, range(_TABLE_CHUNK, len(w), _TABLE_CHUNK))])
+    return w, [q / q.sum(axis=1, keepdims=True) for q in np.split(p, kernel.splits, axis=1)]
 
 
 def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
                 n_refine: int = 8, grid_cache=None, check_identifiable: bool = True,
                 anchor: RotationParams = None,
-                anchor_radius: float = 0.35) -> RotationParams:
+                anchor_radius: float = _ANCHOR_RADIUS) -> RotationParams:
     """Maximum-likelihood rotation parameters for recorded counts.
 
-    The likelihood is first scored on a table of candidates; the best cells,
-    plus a few widely spread backup starts, start local refinements, and the
-    best refined optimum wins.  Each start w0 is refined by Newton's method
-    in a moving local chart psi <- exp(-i J.delta) psi, from
-    psi = exp(-i J.w0) psi_base, with the exact observed Hessian (a
-    Fisher-scoring step where that Hessian is not negative definite) and
-    step halving until the log-likelihood does not drop; a start converges
-    once its Newton step is below 1e-10 rad.  A start that does not converge
-    is refined by Nelder-Mead instead.
+    The likelihood is first scored on a table of candidates, as
+    sum_s log(table_s) @ counts_s; ``grid_cache`` is that table from
+    grid_probability_table, built here when not given, so a study builds it
+    once for all its trials.  The best cells, plus a few widely spread
+    backup starts, are refined together as one stack, and the best refined
+    optimum wins.  Each start w0 is refined by Newton's method in a moving
+    local chart psi <- exp(-i J.delta) psi, from psi = exp(-i J.w0) psi_base,
+    with the exact observed Hessian (a Fisher-scoring step where that
+    Hessian is not negative definite) and step halving until the
+    log-likelihood does not drop; a start converges once its Newton step is
+    below 1e-10 rad.  A start that does not converge is refined by
+    Nelder-Mead instead.
 
     Probes with a nontrivial rotational stabilizer (NOON, balanced, Kings)
     make the *global* likelihood exactly periodic under the stabilizer, so
@@ -397,9 +426,9 @@ def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
     Without an anchor, the candidates are a coarse global grid over (theta,
     cap_theta, cap_phi), w is the Cartesian rotation vector omega =
     theta*n, which stays smooth through theta = 0, and psi_base is the
-    probe.  After the grid starts, twelve restarts at 0.12 and 0.25 rad
-    along +-x, +-y and +-z of the incumbent optimum escape adjacent-basin
-    traps of rugged likelihoods.
+    probe.  A second stack of twelve restarts, at 0.12 and 0.25 rad along
+    +-x, +-y and +-z of the first stack's optimum, escapes adjacent-basin
+    traps of rugged likelihoods; a restart wins only by more than 1e-9 nats.
 
     A flat likelihood or a singular information matrix at the optimum raises
     NonIdentifiableError.
@@ -407,73 +436,55 @@ def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
     counts_list = [np.asarray(getattr(r, "counts", r), dtype=float) for r in records]
     if len(counts_list) != len(experiment.stages):
         raise DomainError("need one record per measurement stage")
-    kernel = experiment.kernel
-    counts = np.concatenate(counts_list)
-
-    if anchor is not None:
-        def to_params(w):
-            return compose(anchor, RotationParams.from_omega(w))
-        axes = np.arange(-3, 4) * (anchor_radius / 3.0)
-        cand = np.stack(np.meshgrid(axes, axes, axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        cand = cand[np.linalg.norm(cand, axis=1) <= anchor_radius + 1e-12]
-        base_psi, base_rot = experiment.rotated_amps(anchor), so3_matrix(anchor)
-        scores = kernel.loglik(counts, omega_rotate(kernel.j, cand, base_psi).T)
-        n_refine = min(n_refine, 4)       # the local problem is well seeded
-        shifts = []
-    else:
-        def to_params(w):
-            return RotationParams.from_omega(w)
-        if grid_cache is None:
-            grid_cache = grid_probability_table(experiment, grid_shape)
-        grid, per_stage = grid_cache
-        scores = np.zeros(len(grid))
-        for c, table in zip(counts_list, per_stage):
-            scores += np.log(np.maximum(table, 1e-300)) @ c
-        cand = [p.omega for p in grid]
-        base_psi, base_rot = experiment.probe.amps, np.eye(3)
-        # restarts around the incumbent escape adjacent-basin traps of
-        # rugged global likelihoods
-        shifts = [sign * step * axis for step in (0.12, 0.25) for axis in np.eye(3)
-                  for sign in (-1.0, 1.0)]
+    if grid_cache is None:
+        grid_cache = grid_probability_table(experiment, grid_shape, anchor, anchor_radius)
+    cand, per_stage = grid_cache
+    scores = sum(np.log(np.maximum(table, 1e-300)) @ c
+                 for c, table in zip(counts_list, per_stage))
     if float(scores.max() - scores.min()) < 1e-12:
         raise NonIdentifiableError("likelihood is flat across the parameter grid")
 
-    order = np.argsort(scores)[::-1]
+    if anchor is not None:
+        base_psi, base_rot = experiment.rotated_amps(anchor), so3_matrix(anchor)
+        n_refine = min(n_refine, 4)       # the local problem is well seeded
+    else:
+        base_psi, base_rot = experiment.probe.amps, np.eye(3)
+    # starts: the best cells at least 0.1 apart, then widely spread backups
+    # at least 0.35 from every start
+    ranked = cand.T[:, np.argsort(scores)[::-1]]          # (3, n), best first
     starts = []
-    for idx in order:                      # densely around the best cells
-        w = cand[idx]
-        if all(np.linalg.norm(w - s) > 0.1 for s in starts):
-            starts.append(w)
-        if len(starts) >= n_refine:
-            break
-    n_wide = len(starts)
-    for idx in order:                      # widely spread backup starts
-        w = cand[idx]
-        if all(np.linalg.norm(w - s) > 0.35 for s in starts):
-            starts.append(w)
-        if len(starts) >= n_wide + 4:
-            break
+    for n_new, spacing in ((n_refine, 0.1), (4, 0.35)):
+        new = _spread(ranked[:, :256], starts, n_new, spacing)
+        if len(new) < n_new:               # the best cells nearly always suffice
+            new = _spread(ranked, starts, n_new, spacing)
+        starts += new
 
-    def negloglik(w):
-        return -experiment.loglik(counts_list, to_params(w))
+    def to_params(w):
+        params = RotationParams.from_omega(w)
+        return params if anchor is None else compose(anchor, params)
 
+    kernel = experiment.kernel
+    counts = np.concatenate(counts_list)
     shots = np.concatenate([np.full(len(c), c.sum()) for c in counts_list])
-    best_val = np.inf
-    for i, w0 in enumerate(starts + shifts):
-        restart = i >= len(starts)
-        if restart:
-            w0 = best_w + w0
-        fit = _newton_fit(kernel, counts, shots, w0, base_psi, base_rot)
-        if fit is not None:
-            val, rot = fit
-            w = RotationParams.from_so3(rot @ base_rot.T).omega
-            params = RotationParams.from_so3(rot)
-        else:
-            res = minimize(negloglik, w0, method="Nelder-Mead",
+
+    def refine(w0):
+        """-loglik and SO(3) matrix at the optimum each start of the stack w0
+        reaches; Nelder-Mead refines the starts that Newton leaves."""
+        vals, rots = _newton_fit(kernel, counts, shots, w0, base_psi, base_rot)
+        for i in np.flatnonzero(np.isnan(vals)):
+            res = minimize(lambda w: -experiment.loglik(counts_list, to_params(w)), w0[i],
+                           method="Nelder-Mead",
                            options={"xatol": 1e-7, "fatol": 1e-7, "maxiter": 600})
-            val, w, params = float(res.fun), res.x, to_params(res.x)
-        if val < best_val - (1e-9 if restart else 0.0):
-            best_val, best_w, estimate = val, w, params
+            vals[i], rots[i] = res.fun, so3_matrix(to_params(res.x))
+        return vals, rots
+
+    vals, rots = refine(np.array(starts))
+    best_val, best_rot = vals.min(), rots[np.argmin(vals)]
+    if anchor is None:      # base_rot is the identity: the chart point is omega
+        vals, rots = refine(RotationParams.from_so3(best_rot).omega + _RESTARTS)
+        if vals.min() < best_val - 1e-9:
+            best_rot = rots[np.argmin(vals)]
+    estimate = RotationParams.from_so3(best_rot)
 
     if check_identifiable:
         fi = experiment.fisher_information(estimate)
@@ -500,51 +511,87 @@ def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
     return estimate
 
 
+def _spread(points, starts, n_new, spacing):
+    """Up to n_new of the columns of ``points`` (3, n), taken in order, each
+    more than ``spacing`` from every start and every earlier pick."""
+    def far(s):
+        d = points - s[:, None]
+        return np.sqrt((d * d).sum(axis=0)) > spacing
+
+    free = np.ones(points.shape[1], dtype=bool)
+    for s in starts:
+        free &= far(s)
+    picks = []
+    while len(picks) < n_new and free.any():
+        picks.append(points[:, np.argmax(free)])
+        free &= far(picks[-1])
+    return picks
+
+
 def _newton_fit(kernel: BornKernel, counts, shots, w0, base_psi, base_rot):
-    """Newton ascent of sum_x counts_x log p_x in the moving local chart
-    psi <- exp(-i J.delta) psi, from psi = exp(-i J.w0) base_psi, whose
-    rotation has SO(3) matrix so3(w0) base_rot.  ``shots`` holds each
-    outcome's stage total, for the expected information of a Fisher-scoring
-    step.  Returns (-loglik, SO(3) matrix) once the step is below
-    _NEWTON_TOL, else logs why at debug level and returns None."""
+    """Newton ascent of sum_x counts_x log p_x from each start of the stack
+    w0 (m, 3), in the moving local chart psi <- exp(-i J.delta) psi, from
+    psi = exp(-i J.w0) base_psi, whose rotation has SO(3) matrix
+    so3(w0) base_rot.  ``shots`` holds each outcome's stage total, for the
+    expected information of a Fisher-scoring step.  Starts iterate together
+    but independently: each halves its own step and stops once its step is
+    below _NEWTON_TOL.  Returns -loglik (m,) and the SO(3) matrices
+    (m, 3, 3) at the optima; a start that does not converge logs why at
+    debug level and gets -loglik nan."""
+    neg_ll, rots = np.full(len(w0), np.nan), np.full((len(w0), 3, 3), np.nan)
+    why = {}
+    live = np.arange(len(w0))                   # the starts still iterating
     psi = omega_rotate(kernel.j, w0, base_psi)
-    rot = so3_matrix(RotationParams.from_omega(w0)) @ base_rot
+    rot = omega_so3(w0) @ base_rot
     value = kernel.loglik(counts, psi)
-    reason = f"no convergence in {_NEWTON_MAX_ITER} iterations"
     for _ in range(_NEWTON_MAX_ITER):
         p, dp, d2p = kernel.derivatives(psi, second=True)
         p = np.maximum(p, 1e-300)
         ratio = counts / p
-        grad = dp @ ratio
-        hess = d2p @ ratio - (dp * (ratio / p)) @ dp.T
-        try:
-            np.linalg.cholesky(-hess)
-            curvature = -hess
-        except np.linalg.LinAlgError:       # not negative definite
-            curvature = (dp * (shots / p)) @ dp.T
-        try:
-            step = np.linalg.solve(curvature, grad)
-        except np.linalg.LinAlgError:
-            reason = "singular curvature"
-            break
-        if not np.all(np.isfinite(step)):
-            reason = "non-finite step"
-            break
-        if np.linalg.norm(step) < _NEWTON_TOL:
-            return -value, rot
+        grad = np.einsum("kmx,mx->mk", dp, ratio)
+        hess = (np.einsum("klmx,mx->mkl", d2p, ratio)
+                - np.einsum("kmx,lmx,mx->mkl", dp, dp, ratio / p))
+        fisher = np.einsum("kmx,lmx,mx->mkl", dp, dp, shots / p)
+        # -hess where it is positive definite, else Fisher scoring; a
+        # non-finite -hess is kept, so that its step is non-finite
+        finite = np.isfinite(hess).all(axis=(1, 2))[:, None, None]
+        concave = np.linalg.eigvalsh(np.where(finite, -hess, np.eye(3)))[:, :1, None] > 0.0
+        curvature = np.where(concave | ~finite, -hess, fisher)
+        singular = np.linalg.det(curvature) == 0.0
+        for i in live[singular]:
+            why[i] = "singular curvature"
+        step = np.full_like(grad, np.nan)
+        step[~singular] = np.linalg.solve(curvature[~singular], grad[~singular, :, None])[..., 0]
+        moving = np.all(np.isfinite(step), axis=1)
+        for i in live[~moving]:
+            why.setdefault(i, "non-finite step")
+        done = moving & (np.linalg.norm(step, axis=1) < _NEWTON_TOL)
+        neg_ll[live[done]], rots[live[done]] = -value[done], rot[done]
+        moving &= ~done
+        pending = np.flatnonzero(moving)        # halve each step until no drop
         for _ in range(_MAX_HALVINGS):
-            trial = omega_rotate(kernel.j, step, psi)
-            trial_value = kernel.loglik(counts, trial)
-            if trial_value >= value - 1e-12 * abs(value):   # rounding of the sum
+            if not pending.size:
                 break
-            step = step / 2.0
-        else:
-            reason = f"log-likelihood still drops after {_MAX_HALVINGS} step halvings"
+            trial = omega_rotate(kernel.j, step[pending], psi[pending])
+            trial_value = kernel.loglik(counts, trial)
+            ok = trial_value >= value[pending] - 1e-12 * np.abs(value[pending])  # rounding
+            took = pending[ok]
+            psi[took], value[took] = trial[ok], trial_value[ok]
+            rot[took] = omega_so3(step[took]) @ rot[took]
+            pending = pending[~ok]
+            step[pending] /= 2.0
+        for i in live[pending]:
+            why[i] = f"log-likelihood still drops after {_MAX_HALVINGS} step halvings"
+        moving[pending] = False
+        live, psi, value, rot = live[moving], psi[moving], value[moving], rot[moving]
+        if not live.size:
             break
-        psi, value = trial, trial_value
-        rot = so3_matrix(RotationParams.from_omega(step)) @ rot
-    _log.debug("Newton refinement from w0 = %s fell back to Nelder-Mead: %s", w0, reason)
-    return None
+    for i in live:
+        why[i] = f"no convergence in {_NEWTON_MAX_ITER} iterations"
+    for i in sorted(why):
+        _log.debug("Newton refinement from w0 = %s fell back to Nelder-Mead: %s",
+                   w0[i], why[i])
+    return neg_ll, rots
 
 
 def estimator_stats(estimates, true_params: RotationParams):
@@ -606,13 +653,16 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
                      n_shots: int, n_trials: int, seed: int,
                      directions=None, offset_angle: float = _DEFAULT_OFFSET_ANGLE,
                      reference: RotationParams = None, triad=None,
-                     grid_shape=_GRID_SHAPE) -> EstimationReport:
+                     grid_shape=None) -> EstimationReport:
     """Repeated simulate-and-estimate rounds against the quantum bound.
 
     The QFI at ``true_params`` must be invertible (otherwise
     SingularInformationError propagates from the bound computation).  Trials
     draw independent multinomial data with per-trial seeds (seed, trial) and
-    are estimator-failure tolerant up to 5%.
+    are estimator-failure tolerant up to 5%.  The candidate table of
+    ml_estimate is built once for all trials: the anchored lattice for
+    "optimal_pvm", and for "husimi" the global grid of ``grid_shape``
+    (default (24, 16, 24)).
     """
     if n_trials < 2:
         raise DomainError("need at least 2 trials")
@@ -630,14 +680,14 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
         if directions is None:
             raise DomainError("husimi scheme needs sampling directions")
         experiment = husimi_experiment(probe, directions)
-        if grid_shape == _GRID_SHAPE:
+        if grid_shape is None:
             # sparse binary designs have rugged likelihoods; the stage tables
             # are cheap, so seed the search from a finer grid
             grid_shape = (24, 16, 24)
     else:
         raise DomainError(f"unknown scheme {scheme!r}")
 
-    cache = None if anchor is not None else grid_probability_table(experiment, grid_shape)
+    cache = grid_probability_table(experiment, grid_shape, anchor)
     estimates = []
     n_failed = 0
     for trial in range(n_trials):

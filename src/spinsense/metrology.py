@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, SingularInformationError
 from .su2 import (RotationParams, angular_momentum_moments, generator_frame,
@@ -233,6 +232,8 @@ def avg_variance(state: SpinState, rel_tol: float = 1e-9) -> float:
         if np.any(vals > _DIVERGENCE_CAP):
             raise _Divergent()
         return float(np.mean(vals))
+
+    from scipy.integrate import quad
 
     try:
         integral, _ = quad(lambda t: phi_average(t) * math.sin(t), 0.0, math.pi,

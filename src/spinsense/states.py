@@ -4,7 +4,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .errors import DegenerateInputError, DomainError, KingSearchError
 from .su2 import TWO_PI, HalfInt, angular_momentum_moments
@@ -241,6 +240,8 @@ def king_state(j: HalfInt, seed: int = 20, n_starts: int = 20,
     if (abs(2.0 * m_star - twice_m) < 1e-9 and twice_m > 2
             and (j.twice_j - twice_m) % 2 == 0 and twice_m <= j.twice_j):
         return balanced_state(j, twice_m / 2.0)
+
+    from scipy.optimize import least_squares, minimize
 
     dim = j.dim
     penalty = 10.0 * (j.j + 1.0) ** 2

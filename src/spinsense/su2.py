@@ -19,6 +19,9 @@ import numpy as np
 from .errors import DomainError, NumericalToleranceError
 
 TWO_PI = 2.0 * math.pi
+_LEVI_CIVITA = np.zeros((3, 3, 3))
+_LEVI_CIVITA[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+_LEVI_CIVITA[[0, 1, 2], [2, 0, 1], [1, 2, 0]] = -1.0
 
 
 @dataclass(frozen=True)
@@ -212,10 +215,7 @@ def so3_matrix(p: RotationParams) -> np.ndarray:
     acting on column vectors this is the active right-hand rotation,
     e.g. M(pi/2, z) maps x -> y.
     """
-    n = p.axis
-    c, s = math.cos(p.theta), math.sin(p.theta)
-    nx = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-    return c * np.eye(3) + (1.0 - c) * np.outer(n, n) + s * nx
+    return omega_so3(p.omega)
 
 
 def rotation_unitary(j: HalfInt, p: RotationParams) -> np.ndarray:
@@ -254,15 +254,33 @@ def _omega_of(raw: np.ndarray) -> np.ndarray:
     return t * np.array([st * math.cos(cp), st * math.sin(cp), math.cos(ct)])
 
 
+@lru_cache(maxsize=None)
+def _j_rows(twice_j: int) -> np.ndarray:
+    """(J_x, J_y, J_z) flattened to the rows of a 3 x dim^2 matrix."""
+    return _readonly(np.stack(_make_operators_cached(twice_j).vector()).reshape(3, -1))
+
+
 def omega_rotate(j: HalfInt, omega, amps) -> np.ndarray:
     """exp(-i J.omega) amps for a rotation vector omega, or for each vector of
     a stack of shape (..., 3) (result (..., dim)), by batched Hermitian
-    eigendecomposition; no unitary is formed."""
-    h = np.tensordot(np.asarray(omega, dtype=float), np.stack(make_operators(j).vector()),
-                     axes=(-1, 0))
+    eigendecomposition; no unitary is formed.  ``amps`` is one state, or a
+    stack of shape (..., dim) whose states rotate by their own vectors."""
+    w = np.asarray(omega, dtype=float)
+    h = (w @ _j_rows(j.twice_j)).reshape(*w.shape[:-1], j.dim, j.dim)     # J.omega
     vals, vecs = np.linalg.eigh(h)
-    coef = np.exp(-1j * vals) * (np.conj(amps) @ vecs).conj()     # e^{-i vals} V^dag amps
-    return np.einsum("...ik,...k->...i", vecs, coef)
+    coef = np.exp(-1j * vals) * (np.conj(amps)[..., None, :] @ vecs)[..., 0, :].conj()
+    return np.einsum("...ik,...k->...i", vecs, coef)                # V e^{-i vals} V^dag amps
+
+
+def omega_so3(omega) -> np.ndarray:
+    """so3_matrix of the rotation vector omega = t n, or of each vector of a
+    stack of shape (..., 3) (result (..., 3, 3)), by Rodrigues' formula."""
+    w = np.asarray(omega, dtype=float)
+    theta = np.linalg.norm(w, axis=-1)[..., None]
+    n = w / np.where(theta > 0.0, theta, 1.0)
+    c, s = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    nx = -np.einsum("ijk,...k->...ij", _LEVI_CIVITA, n)     # nx v = n x v
+    return c * np.eye(3) + (1.0 - c) * n[..., :, None] * n[..., None, :] + s * nx
 
 
 def _unitary_raw(j: HalfInt, raw: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import hyp1f1
 
 from .errors import DomainError, TruncationError
 from .majorana import majorana_poly
@@ -249,6 +248,8 @@ def hypergeometric_check(j: HalfInt, alpha: complex, lam: complex,
     For x = -alpha^2 z^2 / (2 lam): integer J matches 1F1(-J; 1/2; x) and
     half-odd J matches z * 1F1(-(J-1/2); 3/2; x), up to one overall constant.
     """
+    from scipy.special import hyp1f1
+
     alpha = complex(alpha)
     lam = complex(lam)
     if abs(lam) >= 1.0 or lam == 0.0:

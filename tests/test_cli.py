@@ -236,6 +236,16 @@ def test_console_entry_point():
     assert "simulate" in proc.stdout
 
 
+def test_import_loads_no_scipy_module():
+    # scipy is imported only inside the functions that use it
+    code = ("import sys, spinsense, spinsense.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.special') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_state_serialization_lossless(tmp_path):
     # repr-based floats survive a write/read cycle bit for bit
     from spinsense.serialize import dump_json, state_to_dict, state_from_dict

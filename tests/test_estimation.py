@@ -272,17 +272,23 @@ PROTOCOLS = {
 }
 
 
+def _record_calls(monkeypatch, name):
+    """Patch estimation.<name> to record the arguments of every call."""
+    calls = []
+    fn = getattr(estimation, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, name, recording)
+    return calls
+
+
 class TestNewtonRefinement:
     @pytest.mark.parametrize("protocol", ["king_j3", "gps_j2"])
     def test_no_start_falls_back_to_nelder_mead(self, protocol, monkeypatch):
-        calls = []
-        minimize = estimation.minimize
-
-        def counting_minimize(*args, **kwargs):
-            calls.append(args)
-            return minimize(*args, **kwargs)
-
-        monkeypatch.setattr(estimation, "minimize", counting_minimize)
+        calls = _record_calls(monkeypatch, "minimize")
         exp, kwargs, trials = PROTOCOLS[protocol](20)
         for records in trials:
             ml_estimate(records, exp, **kwargs)
@@ -290,23 +296,46 @@ class TestNewtonRefinement:
 
     @pytest.mark.parametrize("protocol", ["king_j3", "noon_j3", "gps_j2"])
     def test_estimates_match_nelder_mead(self, protocol, monkeypatch):
-        # the reference refines every start by Nelder-Mead, the fallback path
         exp, kwargs, trials = PROTOCOLS[protocol](20)
         newton = [ml_estimate(r, exp, **kwargs) for r in trials]
-        monkeypatch.setattr(estimation, "_newton_fit", lambda *args: None)
+        # the reference refines every start by Nelder-Mead, the fallback
+        # path: with no Newton iteration allowed, no start converges
+        monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
+        fits = _record_calls(monkeypatch, "_newton_fit")
+        calls = _record_calls(monkeypatch, "minimize")
         reference = [ml_estimate(r, exp, **kwargs) for r in trials]
+        n_starts = sum(len(args[3]) for args in fits)
+        assert n_starts >= len(trials) and len(calls) == n_starts
         for a, b in zip(newton, reference):
             d = a.as_array() - b.as_array()
             d[2] = (d[2] + math.pi) % (2.0 * math.pi) - math.pi
             assert np.max(np.abs(d)) < 1e-6, (a, b)
 
+    @pytest.mark.parametrize("protocol", ["king_j3", "gps_j2"])
+    def test_starts_refine_independently(self, protocol, monkeypatch):
+        # each start of a stack reaches what it reaches when refined alone
+        newton_fit = estimation._newton_fit
+        fits = _record_calls(monkeypatch, "_newton_fit")
+        exp, kwargs, trials = PROTOCOLS[protocol](1)
+        ml_estimate(trials[0], exp, **kwargs)
+        assert len(fits) == (1 if protocol == "king_j3" else 2)   # grid starts, restarts
+        for kernel, counts, shots, w0, base_psi, base_rot in fits:
+            vals, rots = newton_fit(kernel, counts, shots, w0, base_psi, base_rot)
+            assert len(w0) > 1 and not np.any(np.isnan(vals))
+            for i in range(len(w0)):
+                val, rot = newton_fit(kernel, counts, shots, w0[i:i + 1], base_psi, base_rot)
+                assert abs(val[0] - vals[i]) <= 1e-12 * abs(vals[i])
+                assert np.max(np.abs(rot[0] - rots[i])) < 1e-10
+
     def test_fallback_logs_its_reason(self, king3, monkeypatch, caplog):
         monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
+        fits = _record_calls(monkeypatch, "_newton_fit")
         exp, kwargs, trials = _king_j3_trials(king3, 1)
         with caplog.at_level(logging.DEBUG, logger="spinsense"):
             ml_estimate(trials[0], exp, **kwargs)
         events = [r for r in caplog.records if r.name == "spinsense"]
-        assert events     # one per start, each naming the reason and the start
+        # one per start, each naming the reason and the start
+        assert len(events) == sum(len(args[3]) for args in fits) > 1
         for r in events:
             assert r.levelno == logging.DEBUG
             assert "no convergence in 0 iterations" in r.getMessage()
@@ -447,11 +476,12 @@ class TestGpsIdentifiability:
         for w, t in zip(weights, tables):
             scores += np.log(np.maximum(t, 1e-300)) @ w
         order = np.argsort(scores)[::-1]
-        top = grid[order[0]].as_array()
+        top = RotationParams.from_omega(grid[order[0]]).as_array()
         # every near-top grid point lies in the same parameter neighbourhood
         for idx in order[1:]:
             if scores[idx] > scores[order[0]] - 1.0:
-                assert np.linalg.norm(grid[idx].as_array() - top) < 0.75
+                assert np.linalg.norm(RotationParams.from_omega(grid[idx]).as_array()
+                                      - top) < 0.75
 
 
 class TestMonteCarlo:
@@ -489,6 +519,21 @@ class TestMonteCarlo:
                                400_000, 20, 3, directions=GPS_J2_DIRECTIONS)
         assert rep.n_failed == 0
         assert float(np.trace(rep.empirical_cov)) < 1e-2
+
+    def test_explicit_grid_shape_is_honoured(self, demo_j2_state, monkeypatch):
+        sizes = []
+        table = estimation.grid_probability_table
+
+        def recording_table(*args, **kwargs):
+            out = table(*args, **kwargs)
+            sizes.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(estimation, "grid_probability_table", recording_table)
+        for shape in (None, (16, 8, 16)):
+            monte_carlo_qcrb(demo_j2_state, RotationParams(0.9, 1.2, 0.7), "husimi",
+                             400_000, 2, 3, directions=GPS_J2_DIRECTIONS, grid_shape=shape)
+        assert sizes == [24 * 16 * 24, 16 * 8 * 16]
 
     def test_unknown_scheme(self, king3):
         with pytest.raises(DomainError):

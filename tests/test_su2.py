@@ -8,7 +8,7 @@ from conftest import random_params
 from spinsense.errors import DomainError, NumericalToleranceError
 from spinsense.su2 import (GeneratorFrame, HalfInt, RotationParams, compose,
                            generator_frame, make_operators, numerical_generator,
-                           rotation_unitary, so3_matrix)
+                           omega_rotate, omega_so3, rotation_unitary, so3_matrix)
 
 
 class TestHalfInt:
@@ -237,3 +237,26 @@ def test_compose_matches_matrix_product():
     p2 = RotationParams(1.3, 0.4, 5.1)
     pc = compose(p1, p2)
     assert np.allclose(so3_matrix(pc), so3_matrix(p2) @ so3_matrix(p1), atol=1e-12)
+
+
+class TestStacks:
+    def test_omega_so3_of_a_stack(self):
+        rng = np.random.default_rng(3)
+        w = np.vstack([rng.normal(size=(6, 3)), np.zeros(3)])
+        m = omega_so3(w.reshape(7, 1, 3))
+        assert m.shape == (7, 1, 3, 3)
+        for k in range(7):
+            want = expm(np.cross(w[k], np.eye(3)).T)      # columns w x e_i
+            assert np.max(np.abs(m[k, 0] - want)) < 1e-13
+
+    def test_omega_rotate_pairs_states_with_vectors(self):
+        rng = np.random.default_rng(4)
+        j = HalfInt(5)
+        w = rng.normal(size=(4, 3))
+        amps = rng.normal(size=(4, j.dim)) + 1j * rng.normal(size=(4, j.dim))
+        out = omega_rotate(j, w, amps)
+        one = omega_rotate(j, w, amps[0])
+        for k in range(4):
+            u = rotation_unitary(j, RotationParams.from_omega(w[k]))
+            assert np.max(np.abs(out[k] - u @ amps[k])) < 1e-12
+            assert np.max(np.abs(one[k] - u @ amps[0])) < 1e-12
