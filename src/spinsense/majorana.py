@@ -7,10 +7,26 @@ south pole).  Taken literally, this machinery places the constellation of a
 coherent state at the mirror image (polar, azimuth + pi) of its Bloch point,
 and a rotation of the state by M moves stars by diag(-1,-1,1) M diag(-1,-1,1);
 the rotational-covariance test pins this convention.
+
+Stars are found by rotate-to-pole deflation.  Amplitudes that are exactly
+zero at either end of the basis are exact stars at a pole, and ``np.roots``
+finds every other root once.  A root is a simple star when rounding moves it
+(eps sum_k |c_k| |z|^k / |p'(z)|) by less than 1e-3 of its distance to the
+nearest other root.  The others (a multiple root comes out as a ring) are
+grouped by single linkage on the sphere, at chordal scales falling from the
+whole sphere to 5e-7.  A group's centre is its mean in a stereographic
+chart, well conditioned even when its roots are not (Zeng, Math. Comp. 74,
+2005).  The state is rotated to carry the centre to the north pole, where a
+k-fold star makes the trailing k amplitudes vanish, and two Newton steps on
+p^(k-1) there, delta = -c_{k-1} / (k c_k), correct the centre.  The k roots
+are one k-fold star when, in the frame of the corrected centre, the trailing
+k amplitudes are below 1e-10 of the norm and the next is above 1e-6 (the
+frame must see the star, not only a region where every amplitude is small).
+A root that no group accounts for raises ``RootFindingError``.
 """
 
 from dataclasses import dataclass
-import cmath
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -18,11 +34,10 @@ import numpy as np
 from .errors import DomainError, RootFindingError
 from .states import BlochPoint, SpinState, coherent_state
 
-_MERGE_TOL = 1e-7          # chordal distance below which stars are one star
-_COARSE_TOL = 0.25         # chordal scale above which roots are surely distinct
-_DEFLATE_TOL = 1e-13       # relative size treated as an exactly-zero coefficient
-_CERT_TOL = 1e-7           # multiple-root certificate tolerance
-_RESIDUAL_TOL = 1e-9       # acceptance residual, relative to max |coeff|
+_VANISH_TOL = 1e-10        # rotated-frame amplitude of a unit state treated as zero
+_SEEN_TOL = 1e-6           # the amplitude after a k-fold star's vanishing tail must reach this
+_ISOLATION = 1e-3          # simple star: rounding radius / distance to the nearest other root
+_LINKAGE_SCALES = 2.0 * 4.0 ** -np.arange(12)   # chordal scales, whole sphere down to 5e-7
 
 
 @dataclass(frozen=True)
@@ -63,176 +78,193 @@ class Constellation:
         return np.array(rows)
 
 
+@lru_cache(maxsize=None)
+def _sqrt_binomials(n: int) -> np.ndarray:
+    """sqrt(C(n, k)) for k = 0 .. n (symmetric in k)."""
+    row = np.array([math.sqrt(math.comb(n, k)) for k in range(n + 1)])
+    row.setflags(write=False)
+    return row
+
+
 def majorana_poly(state: SpinState) -> MajoranaPoly:
     """Binomially weighted amplitudes as polynomial coefficients."""
-    n = state.j.twice_j
-    coeffs = np.empty(n + 1, dtype=complex)
-    for k in range(n + 1):
-        # coefficient of z^k belongs to m = k - J, stored at index 2J - k
-        coeffs[k] = math.sqrt(math.comb(n, k)) * state.amps[n - k]
-    return MajoranaPoly(j=state.j, coeffs=coeffs)
+    # coefficient of z^k belongs to m = k - J, stored at index 2J - k
+    return MajoranaPoly(j=state.j, coeffs=_sqrt_binomials(state.j.twice_j) * state.amps[::-1])
 
 
-def _polyval_and_deriv(c: np.ndarray, z: complex):
-    """Horner evaluation of p and p' at a scalar z."""
-    p = 0.0 + 0.0j
-    dp = 0.0 + 0.0j
-    for coeff in c[::-1]:
-        dp = dp * z + p
-        p = p * z + coeff
-    return p, dp
+@lru_cache(maxsize=None)
+def _jx_eigenbasis(n: int):
+    """Eigenvalues (exact m values) and real eigenvectors of J_x for 2J = n."""
+    m = (n - 2.0 * np.arange(n + 1)) / 2.0
+    off = np.sqrt(n / 2.0 * (n / 2.0 + 1.0) - m[1:] * (m[1:] + 1.0)) / 2.0
+    vals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    vals = np.round(2.0 * vals) / 2.0
+    for a in (vals, vecs):
+        a.setflags(write=False)
+    return vals, vecs
 
 
-def _deriv_coeffs(c: np.ndarray) -> np.ndarray:
-    if len(c) <= 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * np.arange(1, len(c))
+def _sphere(x, south=False) -> np.ndarray:
+    """Unit vectors of stereographic coordinates: z = x in the north chart,
+    or z = 1/x in the south chart (x = 0 is then the south pole)."""
+    x = np.asarray(x, dtype=complex)
+    a2 = np.abs(x) ** 2
+    sign = -1.0 if south else 1.0
+    with np.errstate(invalid="ignore"):       # a non-finite x gives nan rows
+        return np.stack([2.0 * x.real, sign * 2.0 * x.imag, sign * (1.0 - a2)], axis=-1) / (1.0 + a2)[..., None]
 
 
-def _aberth(c: np.ndarray, maxiter: int = 400, tol: float = 1e-14) -> np.ndarray:
-    """Aberth-Ehrlich simultaneous iteration for all roots of sum c[k] z^k.
-
-    Expects c[0] != 0 and c[-1] != 0 (callers deflate exact zeros first).
-    """
-    d = len(c) - 1
-    if d == 0:
-        return np.empty(0, dtype=complex)
-    if d == 1:
-        return np.array([-c[0] / c[1]])
-    radius = abs(c[0] / c[-1]) ** (1.0 / d)
-    radius = min(max(radius, 1e-3), 1e3)
-    angles = 2.0 * math.pi * (np.arange(d) + 0.37) / d
-    z = radius * np.exp(1j * angles) * (1.0 + 0.05 * np.cos(3.1 * np.arange(d)))
-    dc = _deriv_coeffs(c)
-    for _ in range(maxiter):
-        p = np.polynomial.polynomial.polyval(z, c)
-        dp = np.polynomial.polynomial.polyval(z, dc)
-        dp = np.where(np.abs(dp) < 1e-300, 1e-300, dp)
-        newton = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repel = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - newton * repel
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        w = newton / denom
-        z = z - w
-        if np.all(np.abs(w) <= tol * (1.0 + np.abs(z))):
-            break
-    return z
+def _angles(u):
+    """Polar angle and azimuth of unit vectors, accurate at the poles."""
+    return np.arctan2(np.hypot(u[..., 0], u[..., 1]), u[..., 2]), np.arctan2(u[..., 1], u[..., 0])
 
 
-def _chordal(a: complex, b: complex) -> float:
-    """Euclidean distance between the sphere images of two roots."""
-    return 2.0 * abs(a - b) / math.sqrt((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
+def _chart_mean(u) -> np.ndarray:
+    """Mean of points in the stereographic chart of their hemisphere, as a
+    unit vector (nan when a point sits at that chart's far pole)."""
+    south = u[:, 2].sum() < 0.0
+    sign = -1.0 if south else 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (u[:, 0] + sign * 1j * u[:, 1]) / (1.0 + sign * u[:, 2])
+    return _sphere(np.mean(x), south)
 
 
-def _split_by_largest_gap(roots):
-    """Partition a set of roots by removing the largest edge of a minimum
-    spanning tree in the chordal metric (single-linkage split)."""
-    n = len(roots)
-    in_tree = [0]
-    edges = []
-    best = {i: (_chordal(roots[0], roots[i]), 0) for i in range(1, n)}
-    while len(in_tree) < n:
-        i = min(best, key=lambda k: best[k][0])
-        dist, parent = best.pop(i)
-        edges.append((dist, parent, i))
-        in_tree.append(i)
-        for k in best:
-            d = _chordal(roots[i], roots[k])
-            if d < best[k][0]:
-                best[k] = (d, i)
-    cut = max(range(len(edges)), key=lambda e: edges[e][0])
-    adj = {i: set() for i in range(n)}
-    for e, (dist, a, b) in enumerate(edges):
-        if e != cut:
-            adj[a].add(b)
-            adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    left = sorted(seen)
-    right = sorted(set(range(n)) - seen)
-    return left, right
+def _rotate_to_pole(amps, n, u):
+    """exp(i theta J_y) exp(i phi J_z) amps for each row of ``u``, with
+    (theta, phi - pi) the angles of u: the rotation that carries the star u
+    to the north pole.  J_y = exp(-i pi/2 J_z) J_x exp(i pi/2 J_z), so this
+    is O(dim^2) per row through the cached real J_x eigenbasis; no unitary
+    is formed.  Returns the rotated rows and (theta, phi)."""
+    theta, azimuth = _angles(u)
+    phi = azimuth + math.pi
+    m = (n - 2.0 * np.arange(n + 1)) / 2.0
+    mu, vecs = _jx_eigenbasis(n)
+    x = (amps * np.exp(1j * (phi[:, None] + math.pi / 2.0) * m)) @ vecs
+    return ((x * np.exp(1j * theta[:, None] * mu)) @ vecs.T) * np.exp(-0.5j * math.pi * m), theta, phi
 
 
-def _eval_scale(c: np.ndarray, z: complex) -> float:
-    """Magnitude bound sum |c_k| |z|^k used to normalize residuals."""
-    az = abs(z)
-    return float(np.polynomial.polynomial.polyval(az, np.abs(c))) + 1e-300
+def _pole_newton(chi, n, k, theta, phi):
+    """One Newton step on p^(k-1) at the pole of each rotated frame, mapped
+    back to the original frame as unit vectors."""
+    rows = np.arange(len(k))
+    row = _sqrt_binomials(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = -(row[k - 1] * chi[rows, n - k + 1]) / (k * row[k] * chi[rows, n - k])
+    v = _sphere(delta)
+    # undo the rotation: star map R_z(phi) R_y(-theta)
+    ct, st = np.cos(theta), np.sin(theta)
+    x, z = v[:, 0] * ct - v[:, 2] * st, v[:, 0] * st + v[:, 2] * ct
+    cp, sp = np.cos(phi), np.sin(phi)
+    return np.stack([x * cp - v[:, 1] * sp, x * sp + v[:, 1] * cp, z], axis=-1)
 
 
-def _refine_multiple(c: np.ndarray, center: complex, k: int) -> complex:
-    """Newton-polish the center of a multiplicity-k cluster on p^(k-1)."""
-    q = c.copy()
-    for _ in range(k - 1):
-        q = _deriv_coeffs(q)
-    z = center
-    for _ in range(80):
-        val, dval = _polyval_and_deriv(q, z)
-        if abs(dval) < 1e-300:
-            break
-        step = val / dval
-        z = z - step
-        if abs(step) <= 1e-16 * (1.0 + abs(z)):
-            break
-    return z
+def _linkage_tree(dist):
+    """Minimum spanning tree of points with distance matrix ``dist`` (Prim):
+    each point's parent (the first point is its own) and edge length."""
+    parent = np.zeros(len(dist), dtype=int)
+    length = np.zeros(len(dist))
+    best = dist[0].copy()
+    out = np.zeros(len(dist), dtype=bool)
+    out[0] = True
+    for _ in range(len(dist) - 1):
+        v = int(np.argmin(np.where(out, np.inf, best)))
+        out[v] = True
+        length[v] = best[v]
+        closer = ~out & (dist[v] < best)
+        best[closer] = dist[v, closer]
+        parent[closer] = v
+    return parent, length
 
 
-def _certified_multiple(c: np.ndarray, center: complex, k: int) -> bool:
-    """True when center is consistent with a multiplicity-k root: all
-    derivatives below order k vanish to the certificate tolerance."""
-    q = c.copy()
-    for order in range(k):
-        val = np.polynomial.polynomial.polyval(center, q)
-        if abs(val) > _CERT_TOL * _eval_scale(q, center):
-            return False
-        q = _deriv_coeffs(q)
-    return True
+def _linkage_labels(parent, length, h) -> np.ndarray:
+    """Single-linkage component labels at chordal scale h: the tree cut at
+    edges longer than h, each point labelled by its component's root."""
+    ptr = np.where(length <= h, parent, np.arange(len(parent)))
+    for _ in range(max(1, math.ceil(math.log2(len(parent))))):
+        ptr = ptr[ptr]
+    return ptr
 
 
-def _cluster_roots(c: np.ndarray, roots, indices):
-    """Recursively merge a candidate cluster, certificate-checked."""
-    pts = [roots[i] for i in indices]
-    if len(pts) == 1:
-        return [(pts[0], 1)]
-    spread = max(_chordal(a, b) for a in pts for b in pts)
-    center = complex(np.mean(pts))
-    if spread <= _MERGE_TOL:
-        return [(_refine_multiple(c, center, len(pts)), len(pts))]
-    refined = _refine_multiple(c, center, len(pts))
-    if _chordal(refined, center) <= 2.0 * spread and _certified_multiple(c, refined, len(pts)):
-        return [(refined, len(pts))]
-    left, right = _split_by_largest_gap(pts)
-    out = _cluster_roots(c, pts, left)
-    out.extend(_cluster_roots(c, pts, right))
-    return out
+def _root_points(c, roots):
+    """Roots as unit vectors, and the radius eps * sum_k |c_k| |x|^k / |p'(x)|
+    within which rounding leaves each root, in chordal units; each root is
+    taken in the stereographic chart of its hemisphere (z, or 1/z with the
+    reversed coefficients)."""
+    south = np.abs(roots) > 1.0
+    x = np.where(south, 1.0 / np.where(south, roots, 1.0), roots)
+    radius = np.empty(len(x))
+    for sel, coeffs in ((~south, c), (south, c[::-1])):
+        dp = np.polynomial.polynomial.polyval(x[sel], np.polynomial.polynomial.polyder(coeffs))
+        bound = np.polynomial.polynomial.polyval(np.abs(x[sel]), np.abs(coeffs))
+        with np.errstate(divide="ignore"):
+            radius[sel] = np.finfo(float).eps * bound / np.abs(dp)
+    points = np.where(south[:, None], _sphere(x, south=True), _sphere(x))
+    return points, radius * 2.0 / (1.0 + np.abs(x) ** 2)
 
 
-def _coarse_components(roots):
-    """Connected components at the coarse chordal scale."""
-    n = len(roots)
-    parent = list(range(n))
+def _frame_test(amps, n, points, groups):
+    """Rotate-to-pole test of root groups, batched: each group's corrected
+    centre, and whether it is a star of multiplicity k = len(group): in the
+    frame of that centre the trailing k amplitudes vanish and the next one
+    does not."""
+    k = np.array([len(g) for g in groups])
+    centre = np.array([_chart_mean(points[g]) for g in groups])
+    with np.errstate(invalid="ignore", over="ignore"):     # nan centres fail the test
+        for _ in range(2):
+            chi, theta, phi = _rotate_to_pole(amps, n, centre)
+            centre = _pole_newton(chi, n, k, theta, phi)
+        tail = np.arange(n + 1) > n - k[:, None]
+        vanish = np.all((np.abs(chi) <= _VANISH_TOL) | ~tail, axis=1)
+        seen = np.abs(chi[np.arange(len(k)), n - k]) >= _SEEN_TOL
+    return centre, vanish & seen
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
-    for i in range(n):
-        for k in range(i + 1, n):
-            if _chordal(roots[i], roots[k]) <= _COARSE_TOL:
-                parent[find(i)] = find(k)
-    comps = {}
-    for i in range(n):
-        comps.setdefault(find(i), []).append(i)
-    return list(comps.values())
+def _stars(amps):
+    """Stars of the unit amplitude vector ``amps`` (basis m = +J ... -J):
+    unit vectors, shape (s, 3), and multiplicities (s,)."""
+    n = len(amps) - 1
+    nonzero = np.flatnonzero(amps)
+    n_south, n_north = nonzero[0], n - nonzero[-1]
+    c = (_sqrt_binomials(n) * amps[::-1])[n_north:n + 1 - n_south]
+    roots = np.roots(c[::-1]) if len(c) > 1 else np.empty(0, dtype=complex)
+    raw, radius = _root_points(c, roots)
+    pole = np.repeat([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]], [n_south, n_north], axis=0)
+    points = np.concatenate([raw, pole])
+    if not len(points):
+        return np.empty((0, 3)), np.empty(0, dtype=int)
+    dist = np.linalg.norm(points[:, None] - points[None], axis=-1)
+    parent, length = _linkage_tree(dist)
+    np.fill_diagonal(dist, np.inf)
+    simple = np.zeros(len(points), dtype=bool)
+    simple[:len(raw)] = radius <= _ISOLATION * dist[:len(raw)].min(axis=1)
+
+    found, mults = [], []
+    left = np.ones(len(points), dtype=bool)
+    failed = set()
+    for h in _LINKAGE_SCALES:
+        idx = np.flatnonzero(left)
+        labels = _linkage_labels(parent, length, h)[idx]
+        order = np.argsort(labels, kind="stable")
+        test = []
+        for g in np.split(idx[order], np.flatnonzero(np.diff(labels[order])) + 1):
+            if len(g) == 1 and simple[g[0]] or g[0] >= len(raw) and np.all(points[g] == points[g[0]]):
+                found.append(points[g[:1]])
+                mults.append([len(g)])
+                left[g] = False
+            elif tuple(g) not in failed:
+                test.append(g)
+        if test:
+            centre, ok = _frame_test(amps, n, points, test)
+            for g, good, point in zip(test, ok, centre):
+                if good:
+                    found.append(point[None])
+                    mults.append([len(g)])
+                    left[g] = False
+                else:
+                    failed.add(tuple(g))
+        if not left.any():
+            return np.concatenate(found), np.concatenate(mults).astype(int)
+    raise RootFindingError(f"{left.sum()} of {n} roots fit no simple or multiple star")
 
 
 def roots_with_multiplicity(coeffs: np.ndarray):
@@ -242,71 +274,32 @@ def roots_with_multiplicity(coeffs: np.ndarray):
     Returns (list[(root, multiplicity)], n_at_infinity).
     """
     c = np.asarray(coeffs, dtype=complex)
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
+    n = len(c) - 1
+    amps = c[::-1] / _sqrt_binomials(n)
+    norm = np.linalg.norm(amps)
+    if norm == 0.0:
         raise DomainError("polynomial has no nonzero coefficients")
-    c = c / scale
-    n_inf = 0
-    while len(c) > 1 and abs(c[-1]) <= _DEFLATE_TOL:
-        c = c[:-1]
-        n_inf += 1
-    n_zero = 0
-    while len(c) > 1 and abs(c[0]) <= _DEFLATE_TOL:
-        c = c[1:]
-        n_zero += 1
-    result = []
-    if n_zero:
-        result.append((0.0 + 0.0j, n_zero))
-    if len(c) > 1:
-        raw = _aberth(c)
-        for comp in _coarse_components(raw):
-            pts = [raw[i] for i in comp]
-            result.extend(_cluster_roots(c, pts, list(range(len(pts)))))
-        # quality gate: scaled residual at every reported root
-        worst = 0.0
-        for root, mult in result:
-            if root == 0.0 and n_zero:
-                continue
-            res = abs(np.polynomial.polynomial.polyval(root, c)) / _eval_scale(c, root)
-            worst = max(worst, res)
-        if worst > _RESIDUAL_TOL:
-            raise RootFindingError(
-                f"root residual {worst:.3e} exceeds {_RESIDUAL_TOL:.1e}",
-                residual=worst)
-    return result, n_inf
+    points, mults = _stars(amps / norm)
+    pairs, n_inf = [], 0
+    for (x, y, z), mult in zip(points, mults.tolist()):
+        if x == 0.0 == y and z < 0.0:
+            n_inf += mult
+        else:       # inverse stereographic map, in the chart of the point's hemisphere
+            pairs.append((complex(x, y) / (1.0 + z) if z >= 0.0 else (1.0 - z) / complex(x, -y), mult))
+    return pairs, n_inf
 
 
 def constellation(state: SpinState) -> Constellation:
-    """Stars of the state: polynomial roots through the stereographic map."""
-    poly = majorana_poly(state)
-    pairs, n_inf = roots_with_multiplicity(poly.coeffs)
-    stars = []
-    for root, mult in pairs:
-        r = abs(root)
-        stars.append(Star(BlochPoint(2.0 * math.atan(r), cmath.phase(root) % (2.0 * math.pi)),
-                          mult))
-    if n_inf:
-        stars.append(Star(BlochPoint(math.pi, 0.0), n_inf))
-    stars = _merge_coincident(stars)
-    total = sum(s.multiplicity for s in stars)
-    if total != state.j.twice_j:
-        raise RootFindingError(
-            f"recovered {total} stars for 2J = {state.j.twice_j}")
+    """Stars of the state: polynomial roots through the stereographic map.
+
+    Raises RootFindingError when a root fits neither a simple star nor a
+    multiple one (see the module docstring).
+    """
+    points, mults = _stars(state.amps)
+    polar, azimuth = _angles(points)
+    stars = [Star(BlochPoint(p, a), int(m)) for p, a, m in zip(polar, azimuth, mults)]
     stars.sort(key=lambda s: (s.point.polar, s.point.azimuth))
     return Constellation(stars=tuple(stars))
-
-
-def _merge_coincident(stars):
-    """Merge stars whose sphere points coincide to the merge tolerance."""
-    merged = []
-    for s in stars:
-        for idx, t in enumerate(merged):
-            if np.linalg.norm(s.point.unit_vector - t.point.unit_vector) <= _MERGE_TOL:
-                merged[idx] = Star(t.point, t.multiplicity + s.multiplicity)
-                break
-        else:
-            merged.append(s)
-    return merged
 
 
 def husimi(state: SpinState, point: BlochPoint) -> float:
@@ -328,15 +321,20 @@ class HusimiGrid:
 def husimi_grid(state: SpinState, n_polar: int, n_azimuth: int) -> HusimiGrid:
     """Sample the Husimi function on a regular grid.
 
-    scaled_q carries the display scaling (4 q / pi)^(3/4).
+    The overlap with the coherent state along (t, f) is
+    sum_i sqrt(C(2J, i)) cos(t/2)^(2J-i) sin(t/2)^i e^{-i i f} psi_i, so the
+    grid is one product |A @ (psi[:, None] * E)|^2 of a polar factor A and
+    azimuthal phases E.  scaled_q carries the display scaling (4 q / pi)^(3/4).
     """
     if n_polar < 2 or n_azimuth < 2:
         raise DomainError("grid needs at least 2 points per direction")
     polar = np.linspace(0.0, math.pi, n_polar)
     azimuth = np.linspace(0.0, 2.0 * math.pi, n_azimuth, endpoint=False)
-    q = np.empty((n_polar, n_azimuth))
-    for a, pol in enumerate(polar):
-        for b, az in enumerate(azimuth):
-            q[a, b] = husimi(state, BlochPoint(pol, az))
+    n = state.j.twice_j
+    i = np.arange(n + 1)
+    a = (_sqrt_binomials(n) * np.cos(polar / 2.0)[:, None] ** (n - i)
+         * np.sin(polar / 2.0)[:, None] ** i)
+    e = np.exp(-1j * np.outer(i, azimuth))
+    q = np.abs(a @ (state.amps[:, None] * e)) ** 2
     scaled = (4.0 * q / math.pi) ** 0.75
     return HusimiGrid(polar=polar, azimuth=azimuth, q=q, scaled_q=scaled)

@@ -20,7 +20,6 @@ from .states import SpinState
 
 _RANK_RTOL = 1e-10      # eigenvalue <= rtol * max eigenvalue counts as null
 _SUPPORT_TOL = 1e-12    # eigenvalue-pair cutoff in SLD-type denominators
-_DIVERGENCE_CAP = 1e12  # integrand cap in the average-variance quadrature
 
 
 @dataclass(frozen=True)
@@ -210,41 +209,22 @@ def avg_qfi(state: SpinState) -> float:
     return float(4.0 / 3.0 * cov_matrix(state).trace)
 
 
-def avg_variance(state: SpinState, rel_tol: float = 1e-9) -> float:
+def avg_variance(state: SpinState) -> float:
     """Average of 1/Q over rotation axes, Q = 4 Var(J.n).
 
-    Returns math.inf when the integrand diverges non-integrably, which
-    happens exactly when the covariance matrix is singular (the probe is an
-    eigenstate of some J.n).
+    With l_i the covariance eigenvalues, the average of 1/(4 n^T C n) over
+    the unit sphere is R_F(1/l_1, 1/l_2, 1/l_3) / (4 sqrt(l_1 l_2 l_3)), with
+    R_F Carlson's symmetric elliptic integral (DLMF 19.16).  Returns math.inf
+    when the covariance matrix is singular (the probe is an eigenstate of
+    some J.n), where the average diverges.
     """
     cov = cov_matrix(state)
     if cov.is_singular():
         return math.inf
-    c = cov.c
-    phis = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
-    cos_p, sin_p = np.cos(phis), np.sin(phis)
+    from scipy.special import elliprf
 
-    def phi_average(cap_theta: float) -> float:
-        st, ct = math.sin(cap_theta), math.cos(cap_theta)
-        n = np.vstack([st * cos_p, st * sin_p, np.full_like(phis, ct)])
-        qvals = 4.0 * np.einsum("ik,ij,jk->k", n, c, n)
-        vals = 1.0 / qvals
-        if np.any(vals > _DIVERGENCE_CAP):
-            raise _Divergent()
-        return float(np.mean(vals))
-
-    from scipy.integrate import quad
-
-    try:
-        integral, _ = quad(lambda t: phi_average(t) * math.sin(t), 0.0, math.pi,
-                           epsabs=0.0, epsrel=rel_tol, limit=200)
-    except _Divergent:
-        return math.inf
-    return 0.5 * integral
-
-
-class _Divergent(Exception):
-    pass
+    lam = cov.eigenvalues()
+    return float(elliprf(*(1.0 / lam)) / (4.0 * math.sqrt(np.prod(lam))))
 
 
 def classical_fi(probs: np.ndarray, dprobs: np.ndarray,

@@ -84,6 +84,19 @@ class TestConstellationCommand:
             assert sum(s["multiplicity"] for s in b["stars"]) == b["N"]
 
 
+    def test_tour_state_without_subspaces(self, tmp_path):
+        # the README tour's coherent+squeezed state: every subspace, down to
+        # weights of 1e-15, gets a constellation
+        state_file = tmp_path / "cs.json"
+        out = tmp_path / "all.json"
+        assert run_cli(["state", "coherent+squeezed", "--alpha-re", "1.789",
+                        "--xi-re", "1.0986", "--out", state_file]) == 0
+        assert run_cli(["constellation", state_file, "--out", out]) == 0
+        blocks = json.loads(out.read_text())
+        assert len(blocks) > 100
+        for b in blocks:
+            assert sum(s["multiplicity"] for s in b["stars"]) == b["N"]
+
 class TestHusimiCommand:
     def test_grid_csv(self, tmp_path):
         state_file = tmp_path / "s.json"

@@ -352,6 +352,33 @@ class TestAverages:
     def test_avg_variance_king3(self):
         assert abs(avg_variance(king_state(HalfInt(6))) - 1.0 / 16.0) < 1e-6
 
+    def test_avg_variance_matches_quadrature(self):
+        # the closed form against a direct average: quad over the polar
+        # angle of a 128-point azimuth mean of 1/(4 n^T C n)
+        from scipy.integrate import quad
+
+        rng = np.random.default_rng(42)
+        phis = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
+        for _ in range(30):
+            st = random_pure_state(HalfInt(int(rng.integers(2, 21))), rng)
+            c = cov_matrix(st).c
+
+            def ring(t):
+                n = np.vstack([math.sin(t) * np.cos(phis), math.sin(t) * np.sin(phis),
+                               np.full_like(phis, math.cos(t))])
+                return float(np.mean(1.0 / (4.0 * np.einsum("ik,ij,jk->k", n, c, n))))
+
+            integral, _ = quad(lambda t: ring(t) * math.sin(t), 0.0, math.pi,
+                               epsabs=0.0, epsrel=1e-12, limit=200)
+            assert abs(avg_variance(st) - 0.5 * integral) <= 1e-10 * 0.5 * integral
+
+    @pytest.mark.parametrize("twice_j", [4, 7, 10, 12])
+    def test_avg_variance_king_closed_form(self, twice_j):
+        # isotropic covariance J(J+1)/3: the average is 3 / (4 J (J+1))
+        jj = twice_j / 2.0
+        got = avg_variance(king_state(HalfInt(twice_j)))
+        assert abs(got - 3.0 / (4.0 * jj * (jj + 1.0))) <= 1e-12 * got
+
 
 class TestClassicalFi:
     def test_bernoulli(self):
