@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--xi-im", type=float, default=0.0)
     ps.add_argument("--n-max", type=int, default=None)
     ps.add_argument("--n-max-b", type=int, default=None)
-    ps.add_argument("--seed", type=int, default=20, help="King search seed")
+    ps.add_argument("--seed", type=int, default=20,
+                    help="seed of the King fallback search, used only for 2J in {1, 2, 3, 5}")
     ps.add_argument("--out", default="state.json")
     ps.set_defaults(func=cmd_state)
 

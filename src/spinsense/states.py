@@ -222,6 +222,39 @@ def _unpack(x: np.ndarray, dim: int) -> np.ndarray:
     return a / np.linalg.norm(a)
 
 
+def _king_support(twice_j: int):
+    """Levels i = J - m and weights w = |c_m|^2 of a King state on 2 or 3
+    levels of one residue class of m mod 3, or None if there is none.
+
+    Such levels differ by multiples of 3 in m, so every cross moment
+    vanishes and isotropy is sum w = 1, sum w m = 0, sum w m^2 = J(J+1)/3.
+    Per class the candidates are its extreme levels, alone and then with
+    each interior level from the top; all triples are solved at once in
+    Lagrange form, exactly in integers (levels as 2m).  These candidates
+    find a solution whenever any 2- or 3-level support does (for 2J >= 11,
+    in every class).
+    """
+    if twice_j == 0:
+        return np.zeros(1, dtype=int), np.ones(1)
+    s = twice_j * (twice_j + 2)          # 12 J(J+1)/3: sum w (2m)^2 = s/3
+    for r in range(3):
+        levels = np.arange(r, twice_j + 1, 3)
+        if levels.size < 2:
+            continue
+        twice_m = twice_j - 2 * levels
+        hi, lo = twice_m[0], twice_m[-1]
+        if s + 3 * hi * lo == 0:
+            return levels[[0, -1]], np.array([-lo, hi]) / (hi - lo)
+        tri = np.stack(np.broadcast_arrays(hi, lo, twice_m[1:-1]), axis=1)
+        b, c = np.roll(tri, -1, axis=1), np.roll(tri, -2, axis=1)
+        w = (s + 3 * b * c) / (3 * (tri - b) * (tri - c))
+        feasible = np.flatnonzero(np.all(w >= 0.0, axis=1))
+        if feasible.size:
+            k = feasible[0]
+            return levels[[0, -1, k + 1]], w[k]
+    return None
+
+
 def king_state(j: HalfInt, seed: int = 20, n_starts: int = 20,
                tol: float = 1e-8) -> SpinState:
     """State with vanishing mean spin and isotropic angular momentum
@@ -229,10 +262,13 @@ def king_state(j: HalfInt, seed: int = 20, n_starts: int = 20,
 
     When m* = sqrt(J(J+1)/3) is an admissible half-integer (m* > 1 with the
     right parity) the balanced superposition (|J m*> + |J -m*>)/sqrt(2) is
-    returned directly.  Otherwise a multi-start numerical search minimizes
-    Tr C^-1 + penalty |<J>|^2 and a least-squares polish drives the
-    optimality conditions below ``tol``; failure raises KingSearchError with
-    the best achieved values.
+    returned directly.  Otherwise the state is built in closed form on 2 or
+    3 levels of one residue class of m mod 3 (see ``_king_support``).  No
+    such support exists only for 2J in {1, 2, 3, 5}; there a multi-start
+    numerical search minimizes Tr C^-1 + penalty |<J>|^2 and a least-squares
+    polish drives the optimality conditions below ``tol``, and its failure
+    raises KingSearchError with the best achieved values.  ``seed``,
+    ``n_starts`` and ``tol`` matter only on that fallback path.
     """
     target = j.j * (j.j + 1.0) / 3.0
     m_star = math.sqrt(target)
@@ -240,6 +276,12 @@ def king_state(j: HalfInt, seed: int = 20, n_starts: int = 20,
     if (abs(2.0 * m_star - twice_m) < 1e-9 and twice_m > 2
             and (j.twice_j - twice_m) % 2 == 0 and twice_m <= j.twice_j):
         return balanced_state(j, twice_m / 2.0)
+    support = _king_support(j.twice_j)
+    if support is not None:
+        levels, weights = support
+        amps = np.zeros(j.dim)
+        amps[levels] = np.sqrt(weights)
+        return _canonical(j, amps)
 
     from scipy.optimize import least_squares, minimize
 

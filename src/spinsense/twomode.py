@@ -41,9 +41,13 @@ class TwoModeState:
 
 @dataclass(frozen=True)
 class SubspaceComponent:
+    """One N = 2J block; ``n_cut`` counts its amplitudes with n_a or n_b
+    beyond the mode cutoffs, which the grid cannot hold and are zero here."""
+
     j: HalfInt
     weight: float
     state: SpinState
+    n_cut: int = 0
 
 
 @dataclass(frozen=True)
@@ -219,24 +223,28 @@ def schwinger_operators(j: HalfInt) -> OperatorSet:
 
 def decompose(state: TwoModeState, weight_floor: float = 1e-15) -> SubspaceDecomposition:
     """Group amplitudes by total photon number N; each block is a spin-J
-    state with J = N/2 after normalization."""
+    state with J = N/2 after normalization.
+
+    Block N is the anti-diagonal n_a + n_b = N of the grid, read from
+    n_a = min(N, na_max) down, i.e. idx = J - m = n_b upwards.
+    """
     grid = state.amps
     na_max = grid.shape[0] - 1
     nb_max = grid.shape[1] - 1
+    flipped = np.fliplr(grid)
     comps = []
     for n in range(na_max + nb_max + 1):
         j = HalfInt(n)
+        diag = flipped.diagonal(nb_max - n)[::-1]
+        first = max(0, n - na_max)           # idx where n_a = min(N, na_max)
         amps = np.zeros(n + 1, dtype=complex)
-        for idx in range(n + 1):       # idx = J - m, n_a = n - idx
-            na = n - idx
-            nb = idx
-            if na <= na_max and nb <= nb_max:
-                amps[idx] = grid[na, nb]
+        amps[first:first + diag.size] = diag
         weight = float(np.sum(np.abs(amps) ** 2))
         if weight > weight_floor:
             comps.append(SubspaceComponent(
                 j=j, weight=weight,
-                state=SpinState(j, amps / math.sqrt(weight))))
+                state=SpinState(j, amps / math.sqrt(weight)),
+                n_cut=n + 1 - diag.size))
     return SubspaceDecomposition(components=tuple(comps), neglected=state.neglected)
 
 

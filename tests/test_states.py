@@ -1,12 +1,16 @@
+import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import random_params
 from spinsense.errors import DegenerateInputError, DomainError, KingSearchError
-from spinsense.states import (BlochPoint, SpinState, balanced_state, basis_state,
-                              cat_state, coherent_state, king_state, noon_state)
+from spinsense.states import (BlochPoint, SpinState, _king_support, balanced_state,
+                              basis_state, cat_state, coherent_state, king_state,
+                              noon_state)
 from spinsense.su2 import HalfInt, angular_momentum_moments, make_operators
 
 
@@ -238,6 +242,58 @@ class TestKingState:
         a = king_state(HalfInt(4), seed=3)
         b = king_state(HalfInt(4), seed=3)
         assert np.array_equal(a.amps, b.amps)
+
+    @pytest.mark.parametrize("twice_j", [4, 6] + list(range(7, 61)))
+    def test_closed_form_isotropic(self, twice_j):
+        j = HalfInt(twice_j)
+        st = king_state(j)
+        assert np.max(np.abs(st.mean_spin())) < 1e-12
+        assert np.max(np.abs(cov_of(st) - j.j * (j.j + 1.0) / 3.0 * np.eye(3))) < 1e-12
+
+    @pytest.mark.parametrize("twice_j", [4] + list(range(7, 61)))
+    def test_support_on_one_residue_class(self, twice_j):
+        # 2J = 6 is the balanced state, whose levels m = +-2 differ by 4
+        levels = np.flatnonzero(king_state(HalfInt(twice_j)).amps)
+        assert 2 <= levels.size <= 3
+        assert len(set(levels % 3)) == 1
+
+    def test_j2_is_tetrahedral(self):
+        amps = king_state(HalfInt(4)).amps
+        levels = np.flatnonzero(amps)
+        assert levels.size == 2
+        assert np.allclose(sorted(np.abs(amps[levels]) ** 2), [1.0 / 3.0, 2.0 / 3.0],
+                           rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("twice_j", [1, 2, 3, 5])
+    def test_no_king_raises(self, twice_j):
+        j = HalfInt(twice_j)
+        with pytest.raises(KingSearchError) as err:
+            king_state(j, n_starts=2)
+        assert err.value.best_trace_inverse > 9.0 / (j.j * (j.j + 1.0))
+        assert err.value.best_isotropy_error > 1e-8
+
+    @pytest.mark.parametrize("twice_j", range(0, 31))
+    def test_support_found_when_any_exists(self, twice_j):
+        # against every pair and triple of levels of each residue class, in
+        # exact integer arithmetic on 2m: the three equations
+        # sum w = 1, sum w m = 0, sum w m^2 = J(J+1)/3
+        s = twice_j * (twice_j + 2)
+        exists = twice_j == 0
+        for r in range(3):
+            ms = range(twice_j - 2 * r, -twice_j - 1, -6)
+            exists |= any(s + 3 * a * b == 0 for a, b in itertools.combinations(ms, 2))
+            for trio in itertools.combinations(ms, 3):
+                nums = [s + 3 * trio[k - 1] * trio[k - 2] for k in range(3)]
+                dens = [(trio[k] - trio[k - 1]) * (trio[k] - trio[k - 2]) for k in range(3)]
+                exists |= all(nu * de >= 0 for nu, de in zip(nums, dens))
+        assert (_king_support(twice_j) is not None) == exists
+
+    def test_closed_form_loads_no_optimizer(self):
+        code = ("import sys; from spinsense import HalfInt, king_state; "
+                "king_state(HalfInt(7)); print('scipy.optimize' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 def test_all_constructors_unit_norm():

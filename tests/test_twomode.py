@@ -77,6 +77,54 @@ class TestTwoModeCoherent:
         assert abs(dec.components[0].weight - 1.0) < 1e-15
 
 
+def _decompose_by_loop(state, weight_floor=1e-15):
+    """Reference: each block gathered element by element, with its count of
+    amplitudes beyond the mode cutoffs."""
+    grid = state.amps
+    na_max, nb_max = grid.shape[0] - 1, grid.shape[1] - 1
+    out = []
+    for n in range(na_max + nb_max + 1):
+        amps = np.zeros(n + 1, dtype=complex)
+        n_cut = 0
+        for idx in range(n + 1):          # idx = J - m = n_b
+            if n - idx <= na_max and idx <= nb_max:
+                amps[idx] = grid[n - idx, idx]
+            else:
+                n_cut += 1
+        weight = float(np.sum(np.abs(amps) ** 2))
+        if weight > weight_floor:
+            out.append((n, weight, amps / math.sqrt(weight), n_cut))
+    return out
+
+
+class TestDecompose:
+    @pytest.mark.parametrize("state", [
+        two_mode_coherent(2.0, 1.0, default_n_max(5.0)),
+        coherent_plus_squeezed(math.sqrt(3.2), math.atanh(0.8), default_n_max(3.2),
+                               n_max_b=squeezed_n_max(math.atanh(0.8))),
+        coherent_plus_squeezed(1.3, 0.6, 30, n_max_b=40)])
+    def test_matches_element_loop(self, state):
+        got = decompose(state).components
+        want = _decompose_by_loop(state)
+        assert len(got) == len(want)
+        for comp, (n, weight, amps, n_cut) in zip(got, want):
+            assert comp.j.twice_j == n
+            assert comp.weight == weight
+            assert np.array_equal(comp.state.amps, amps)
+            assert comp.n_cut == n_cut
+
+    def test_cut_count_of_readme_state(self):
+        # README tour: coherent+squeezed --alpha-re 1.789 --xi-re 1.0986
+        st = coherent_plus_squeezed(1.789, 1.0986, default_n_max(1.789 ** 2),
+                                    n_max_b=squeezed_n_max(1.0986))
+        assert st.amps.shape == (43, 123)
+        comps = decompose(st).components
+        assert max(c.j.twice_j for c in comps) > 122
+        for comp in comps:
+            n = comp.j.twice_j
+            assert comp.n_cut == max(0, n - 42) + max(0, n - 122)
+
+
 class TestCoherentPlusSqueezed:
     def test_zero_squeezing_reduction(self):
         a = coherent_plus_squeezed(1.5, 0.0, 30)
