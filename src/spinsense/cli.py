@@ -26,20 +26,18 @@ _NUMERICAL_EXIT = 4
 
 def _parse_j(text: str) -> su2.HalfInt:
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        if den.strip() != "2":
-            raise DomainError(f"J must be given as n, n.5 or n/2, got {text!r}")
-        return su2.HalfInt(int(num))
-    return su2.HalfInt.from_j(float(text))
-
-
-def _parse_complex(re: float, im: float) -> complex:
-    return complex(re, im)
+    num, slash, den = text.partition("/")
+    try:        # float() also rejects any n/d with d other than 2
+        number = int(num) if slash and den.strip() == "2" else float(text)
+    except ValueError:
+        raise DomainError(f"J must be given as n, n.5 or n/2, got {text!r}") from None
+    return su2.HalfInt(number) if slash else su2.HalfInt.from_j(number)
 
 
 def _state_from_args(args):
     family = args.family
+    if family in ("basis", "balanced") and args.m is None:
+        raise DomainError(f"the {family} family needs --m")
     if family == "basis":
         return states.basis_state(_parse_j(args.j), args.m)
     if family == "coherent":
@@ -48,19 +46,19 @@ def _state_from_args(args):
     if family == "noon":
         return states.noon_state(_parse_j(args.j))
     if family == "cat":
-        return states.cat_state(_parse_j(args.j), _parse_complex(args.z_re, args.z_im))
+        return states.cat_state(_parse_j(args.j), complex(args.z_re, args.z_im))
     if family == "balanced":
         return states.balanced_state(_parse_j(args.j), args.m)
     if family == "king":
         return states.king_state(_parse_j(args.j), seed=args.seed)
     if family == "two-mode-coherent":
-        alpha = _parse_complex(args.alpha_re, args.alpha_im)
-        beta = _parse_complex(args.beta_re, args.beta_im)
+        alpha = complex(args.alpha_re, args.alpha_im)
+        beta = complex(args.beta_re, args.beta_im)
         n_max = args.n_max or twomode.default_n_max(abs(alpha) ** 2 + abs(beta) ** 2)
         return twomode.two_mode_coherent(alpha, beta, n_max)
     if family == "coherent+squeezed":
-        alpha = _parse_complex(args.alpha_re, args.alpha_im)
-        xi = _parse_complex(args.xi_re, args.xi_im)
+        alpha = complex(args.alpha_re, args.alpha_im)
+        xi = complex(args.xi_re, args.xi_im)
         n_max = args.n_max or twomode.default_n_max(abs(alpha) ** 2)
         nb = args.n_max_b or twomode.squeezed_n_max(xi)
         return twomode.coherent_plus_squeezed(alpha, xi, n_max, n_max_b=nb)
@@ -89,14 +87,18 @@ def cmd_constellation(args) -> int:
     if isinstance(state, twomode.TwoModeState):
         wanted = None
         if args.subspaces:
-            wanted = {int(tok) for tok in args.subspaces.split(",")}
+            try:
+                wanted = {int(tok) for tok in args.subspaces.split(",")}
+            except ValueError:
+                raise DomainError("--subspaces must be comma-separated integers, "
+                                  f"got {args.subspaces!r}") from None
         payload = []
         for comp in twomode.decompose(state).components:
             n = comp.j.twice_j
             if wanted is not None and n not in wanted:
                 continue
             con = majorana.constellation(comp.state)
-            payload.append({"N": n, "weight": comp.weight,
+            payload.append({"N": n, "weight": comp.weight, "n_cut": comp.n_cut,
                             "stars": serialize.constellation_to_list(con)})
     else:
         payload = serialize.constellation_to_list(majorana.constellation(state))
@@ -219,21 +221,30 @@ def _probe_from_config(probe_spec) -> states.SpinState:
             raise ConfigError("simulation probes must be single spin-J states")
         return state
     family = probe_spec.get("family")
-    j = su2.HalfInt(int(probe_spec["twice_j"])) if "twice_j" in probe_spec \
-        else su2.HalfInt.from_j(probe_spec["j"])
+
+    def need(key):
+        if key not in probe_spec:
+            raise ConfigError(f"probe family {family!r} needs {key!r}")
+        return probe_spec[key]
+
+    if "twice_j" in probe_spec:
+        j = su2.HalfInt(int(probe_spec["twice_j"]))
+    elif "j" in probe_spec:
+        j = su2.HalfInt.from_j(probe_spec["j"])
+    else:
+        raise ConfigError("probe needs 'twice_j' or 'j'")
     if family == "king":
         return states.king_state(j)
     if family == "noon":
         return states.noon_state(j)
     if family == "basis":
-        return states.basis_state(j, probe_spec["m"])
+        return states.basis_state(j, need("m"))
     if family == "balanced":
-        return states.balanced_state(j, probe_spec["m"])
+        return states.balanced_state(j, need("m"))
     if family == "coherent":
-        return states.coherent_state(
-            j, states.BlochPoint(probe_spec["polar"], probe_spec["azimuth"]))
+        return states.coherent_state(j, states.BlochPoint(need("polar"), need("azimuth")))
     if family == "cat":
-        return states.cat_state(j, complex(*probe_spec["z"]))
+        return states.cat_state(j, complex(*need("z")))
     raise ConfigError(f"unsupported probe family {family!r}")
 
 

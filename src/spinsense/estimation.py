@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import (DegenerateInputError, DomainError, NonIdentifiableError,
                      UnreliableRunError)
-from .metrology import QfiMatrix, classical_fi, crb, qfi_rotation_matrix
+from .metrology import (PARAM_LABELS_SPHERICAL, QfiMatrix, _finish_fi_matrix, classical_fi,
+                        crb, qfi_rotation_matrix)
 from .states import SpinState, coherent_state
 from .su2 import (TWO_PI, HalfInt, RotationParams, compose, generator_frame,
                   make_operators, omega_rotate, omega_so3, rotation_unitary, so3_matrix)
@@ -141,10 +142,6 @@ class MeasurementModel:
         if len(self.labels) != len(elems):
             raise DomainError("need one label per POVM element")
         object.__setattr__(self, "kernel", BornKernel([elems]))
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.elements)
 
     def probabilities(self, state: SpinState) -> np.ndarray:
         return self.kernel.probabilities(state.amps)
@@ -273,17 +270,12 @@ def simulate_shots(model: MeasurementModel, true_state: SpinState,
 
 class RotationExperiment:
     """A fixed probe measured by one or more POVM stages after an unknown
-    rotation; stages split the shot budget by their weights."""
+    rotation; stages split the shot budget evenly."""
 
-    def __init__(self, probe: SpinState, stages, weights=None):
+    def __init__(self, probe: SpinState, stages):
         self.probe = probe
         self.stages = list(stages)
-        if weights is None:
-            weights = [1.0 / len(self.stages)] * len(self.stages)
-        w = np.asarray(weights, dtype=float)
-        if len(w) != len(self.stages) or abs(w.sum() - 1.0) > 1e-9 or np.any(w <= 0):
-            raise DomainError("stage weights must be positive and sum to 1")
-        self.weights = w
+        self.weights = np.full(len(self.stages), 1.0 / len(self.stages))
         self._j = probe.j
         self.kernel = BornKernel([m.elements for m in self.stages])
 
@@ -317,12 +309,7 @@ class RotationExperiment:
         splits = self.kernel.splits
         f = sum(weight * classical_fi(q / q.sum(), d).q for weight, q, d in
                 zip(self.weights, np.split(p, splits), np.split(dp, splits, axis=1)))
-        return _as_qfi(f)
-
-
-def _as_qfi(f: np.ndarray) -> QfiMatrix:
-    from .metrology import _finish_fi_matrix
-    return _finish_fi_matrix(f, ("theta", "cap_theta", "cap_phi"))
+        return _finish_fi_matrix(f, PARAM_LABELS_SPHERICAL)
 
 
 def _split_budget(n_shots: int, weights) -> list:
@@ -332,8 +319,7 @@ def _split_budget(n_shots: int, weights) -> list:
 
 
 def optimal_pvm_experiment(probe: SpinState, reference: RotationParams,
-                           offset_angle: float = _DEFAULT_OFFSET_ANGLE,
-                           triad=None) -> RotationExperiment:
+                           offset_angle: float = _DEFAULT_OFFSET_ANGLE) -> RotationExperiment:
     """Two optimal-PVM stages at references offset from ``reference`` by
     ``offset_angle`` about two fixed skew axes (see module docstring)."""
     stages = []
@@ -341,7 +327,7 @@ def optimal_pvm_experiment(probe: SpinState, reference: RotationParams,
         u = axis / np.linalg.norm(axis)
         ref = compose(reference, RotationParams.from_omega(offset_angle * u))
         est_state = SpinState(probe.j, rotation_unitary(probe.j, ref) @ probe.amps)
-        stages.append(optimal_pvm(est_state, triad=triad))
+        stages.append(optimal_pvm(est_state))
     return RotationExperiment(probe, stages)
 
 
@@ -365,16 +351,15 @@ _RESTARTS = np.array([sign * step * axis for step in (0.12, 0.25) for axis in np
 
 
 def grid_probability_table(experiment: RotationExperiment, shape=_GRID_SHAPE,
-                           anchor: RotationParams = None,
-                           anchor_radius: float = _ANCHOR_RADIUS):
+                           anchor: RotationParams = None):
     """Candidate rotation vectors w, shape (n, 3), and each stage's outcome
     probabilities at them, shape (n, outcomes).  They depend only on the
     experiment, so one table serves every trial of a study.
 
     Without an anchor the candidates are the rotation vectors omega of a
     ``shape`` grid over (theta, cap_theta, cap_phi), applied to the probe.
-    With one they are a cubic lattice of w within ``anchor_radius``, applied
-    to U(anchor) probe (see ml_estimate), and ``shape`` is unused.
+    With one they are a cubic lattice of w within 0.35 rad, applied to
+    U(anchor) probe (see ml_estimate), and ``shape`` is unused.
     """
     if anchor is None:
         n_t, n_T, n_F = shape
@@ -385,9 +370,9 @@ def grid_probability_table(experiment: RotationExperiment, shape=_GRID_SHAPE,
         w = (t[..., None] * axis).reshape(-1, 3)
         psi = experiment.probe.amps
     else:
-        axes = np.arange(-3, 4) * (anchor_radius / 3.0)
+        axes = np.arange(-3, 4) * (_ANCHOR_RADIUS / 3.0)
         w = np.stack(np.meshgrid(axes, axes, axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        w = w[np.linalg.norm(w, axis=1) <= anchor_radius + 1e-12]
+        w = w[np.linalg.norm(w, axis=1) <= _ANCHOR_RADIUS + 1e-12]
         psi = experiment.rotated_amps(anchor)
     kernel = experiment.kernel
     p = np.vstack([kernel.probabilities(omega_rotate(kernel.j, chunk, psi))
@@ -395,49 +380,48 @@ def grid_probability_table(experiment: RotationExperiment, shape=_GRID_SHAPE,
     return w, [q / q.sum(axis=1, keepdims=True) for q in np.split(p, kernel.splits, axis=1)]
 
 
-def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
-                n_refine: int = 8, grid_cache=None, check_identifiable: bool = True,
-                anchor: RotationParams = None,
-                anchor_radius: float = _ANCHOR_RADIUS) -> RotationParams:
+def ml_estimate(records, experiment: RotationExperiment, grid_cache=None,
+                anchor: RotationParams = None) -> RotationParams:
     """Maximum-likelihood rotation parameters for recorded counts.
 
     The likelihood is first scored on a table of candidates, as
     sum_s log(table_s) @ counts_s; ``grid_cache`` is that table from
     grid_probability_table, built here when not given, so a study builds it
-    once for all its trials.  The best cells, plus a few widely spread
-    backup starts, are refined together as one stack, and the best refined
-    optimum wins.  Each start w0 is refined by Newton's method in a moving
-    local chart psi <- exp(-i J.delta) psi, from psi = exp(-i J.w0) psi_base,
-    with the exact observed Hessian (a Fisher-scoring step where that
-    Hessian is not negative definite) and step halving until the
-    log-likelihood does not drop; a start converges once its Newton step is
-    below 1e-10 rad.  A start that does not converge is refined by
-    Nelder-Mead instead.
+    once for all its trials.  The best cells (eight, or four with an anchor)
+    and four widely spread backup starts are refined together as one stack,
+    and the best refined optimum wins.  Each start w0 is refined by Newton's
+    method in a moving local chart psi <- exp(-i J.delta) psi, from
+    psi = exp(-i J.w0) psi_base, with the exact observed Hessian (a
+    Fisher-scoring step where that Hessian is not negative definite) and
+    step halving until the log-likelihood does not drop; a start converges
+    once its Newton step is below 1e-10 rad.  A start that does not converge
+    is refined by Nelder-Mead instead.
 
     Probes with a nontrivial rotational stabilizer (NOON, balanced, Kings)
     make the *global* likelihood exactly periodic under the stabilizer, so
     the rotation is only identifiable modulo that group.  Passing ``anchor``
     (the protocol's prior estimate) restricts the search to deviations within
-    ``anchor_radius`` of it, which is the asymptotic local-estimation setting
-    and selects the physical copy.  The candidates are then the rotations
+    0.35 rad of it, which is the asymptotic local-estimation setting and
+    selects the physical copy.  The candidates are then the rotations
     exp(-i J.w) U(anchor) on a cubic lattice of w, and psi_base is
     U(anchor) probe.
 
     Without an anchor, the candidates are a coarse global grid over (theta,
-    cap_theta, cap_phi), w is the Cartesian rotation vector omega =
-    theta*n, which stays smooth through theta = 0, and psi_base is the
-    probe.  A second stack of twelve restarts, at 0.12 and 0.25 rad along
-    +-x, +-y and +-z of the first stack's optimum, escapes adjacent-basin
-    traps of rugged likelihoods; a restart wins only by more than 1e-9 nats.
+    cap_theta, cap_phi), of shape (16, 8, 16) when built here; w is the
+    Cartesian rotation vector omega = theta*n, which stays smooth through
+    theta = 0, and psi_base is the probe.  A second stack of twelve
+    restarts, at 0.12 and 0.25 rad along +-x, +-y and +-z of the first
+    stack's optimum, escapes adjacent-basin traps of rugged likelihoods; a
+    restart wins only by more than 1e-9 nats.
 
-    A flat likelihood or a singular information matrix at the optimum raises
-    NonIdentifiableError.
+    A flat likelihood, a singular information matrix at the optimum, or a
+    bound sigma above 0.35 rad there raises NonIdentifiableError.
     """
     counts_list = [np.asarray(getattr(r, "counts", r), dtype=float) for r in records]
     if len(counts_list) != len(experiment.stages):
         raise DomainError("need one record per measurement stage")
     if grid_cache is None:
-        grid_cache = grid_probability_table(experiment, grid_shape, anchor, anchor_radius)
+        grid_cache = grid_probability_table(experiment, anchor=anchor)
     cand, per_stage = grid_cache
     scores = sum(np.log(np.maximum(table, 1e-300)) @ c
                  for c, table in zip(counts_list, per_stage))
@@ -446,9 +430,10 @@ def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
 
     if anchor is not None:
         base_psi, base_rot = experiment.rotated_amps(anchor), so3_matrix(anchor)
-        n_refine = min(n_refine, 4)       # the local problem is well seeded
+        n_refine = 4                      # the local problem is well seeded
     else:
         base_psi, base_rot = experiment.probe.amps, np.eye(3)
+        n_refine = 8
     # starts: the best cells at least 0.1 apart, then widely spread backups
     # at least 0.35 from every start
     ranked = cand.T[:, np.argsort(scores)[::-1]]          # (3, n), best first
@@ -486,28 +471,26 @@ def ml_estimate(records, experiment: RotationExperiment, grid_shape=_GRID_SHAPE,
             best_rot = rots[np.argmin(vals)]
     estimate = RotationParams.from_so3(best_rot)
 
-    if check_identifiable:
-        fi = experiment.fisher_information(estimate)
-        if fi.rank < 3:
-            raise NonIdentifiableError(
-                "information matrix at the optimum is rank "
-                f"{fi.rank}; parameters are not jointly identifiable",
-                null_directions=fi.null_basis)
-        # a technically full-rank matrix can still leave a parameter with
-        # macroscopic uncertainty (coordinate singularity at theta ~ 0: the
-        # axis information does not grow with the shot count)
-        total_shots = float(sum(c.sum() for c in counts_list))
-        bound = np.linalg.pinv(fi.q) / max(total_shots, 1.0)
-        sigmas = np.sqrt(np.clip(np.diag(bound), 0.0, None))
-        if np.any(sigmas > _MIN_RESOLUTION):
-            _, vecs = np.linalg.eigh(fi.q)
-            raise NonIdentifiableError(
-                "parameters "
-                + ", ".join(l for l, s in zip(("theta", "cap_theta", "cap_phi"),
-                                              sigmas) if s > _MIN_RESOLUTION)
-                + f" are unresolved at the data's information level "
-                f"(bound sigma {sigmas.max():.2f} rad)",
-                null_directions=vecs[:, :1])
+    fi = experiment.fisher_information(estimate)
+    if fi.rank < 3:
+        raise NonIdentifiableError(
+            "information matrix at the optimum is rank "
+            f"{fi.rank}; parameters are not jointly identifiable",
+            null_directions=fi.null_basis)
+    # a technically full-rank matrix can still leave a parameter with
+    # macroscopic uncertainty (coordinate singularity at theta ~ 0: the
+    # axis information does not grow with the shot count)
+    total_shots = float(sum(c.sum() for c in counts_list))
+    bound = np.linalg.pinv(fi.q) / max(total_shots, 1.0)
+    sigmas = np.sqrt(np.clip(np.diag(bound), 0.0, None))
+    if np.any(sigmas > _MIN_RESOLUTION):
+        _, vecs = np.linalg.eigh(fi.q)
+        raise NonIdentifiableError(
+            "parameters "
+            + ", ".join(l for l, s in zip(PARAM_LABELS_SPHERICAL, sigmas) if s > _MIN_RESOLUTION)
+            + f" are unresolved at the data's information level "
+            f"(bound sigma {sigmas.max():.2f} rad)",
+            null_directions=vecs[:, :1])
     return estimate
 
 
@@ -606,7 +589,11 @@ def estimator_stats(estimates, true_params: RotationParams):
     deltas = _residuals(estimates, true_params)
     if deltas.shape[0] < 2:
         raise DomainError("need at least 2 estimates")
-    truth = true_params.as_array()
+    return _residual_moments(deltas, true_params.as_array())
+
+
+def _residual_moments(deltas: np.ndarray, truth: np.ndarray) -> dict:
+    """estimator_stats of the residuals ``deltas`` (n, 3) from ``truth``."""
     mean_delta = deltas.mean(axis=0)
     variance = deltas.var(axis=0)
     bias_sq = mean_delta ** 2
@@ -623,13 +610,6 @@ def estimator_stats(estimates, true_params: RotationParams):
     }
 
 
-def _estimates_array(estimates) -> np.ndarray:
-    rows = []
-    for e in estimates:
-        rows.append(e.as_array() if isinstance(e, RotationParams) else np.asarray(e, dtype=float))
-    return np.vstack(rows)
-
-
 def _residuals(estimates, true_params: RotationParams) -> np.ndarray:
     """Estimates minus the truth, with cap_phi wrapped into (-pi, pi].
 
@@ -637,7 +617,8 @@ def _residuals(estimates, true_params: RotationParams) -> np.ndarray:
     cap_phi + pi) are the same rotation; each estimate is taken in whichever
     form lies nearer the truth, so that near theta = pi the residuals do not
     depend on the form a fit returns."""
-    arr = _estimates_array(estimates)
+    arr = np.vstack([e.as_array() if isinstance(e, RotationParams) else np.asarray(e, dtype=float)
+                     for e in estimates])
     twin = np.column_stack([TWO_PI - arr[:, 0], math.pi - arr[:, 1], arr[:, 2] + math.pi])
     truth = true_params.as_array()
     deltas = []
@@ -652,7 +633,6 @@ def _residuals(estimates, true_params: RotationParams) -> np.ndarray:
 def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
                      n_shots: int, n_trials: int, seed: int,
                      directions=None, offset_angle: float = _DEFAULT_OFFSET_ANGLE,
-                     reference: RotationParams = None, triad=None,
                      grid_shape=None) -> EstimationReport:
     """Repeated simulate-and-estimate rounds against the quantum bound.
 
@@ -660,8 +640,8 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
     SingularInformationError propagates from the bound computation).  Trials
     draw independent multinomial data with per-trial seeds (seed, trial) and
     are estimator-failure tolerant up to 5%.  The candidate table of
-    ml_estimate is built once for all trials: the anchored lattice for
-    "optimal_pvm", and for "husimi" the global grid of ``grid_shape``
+    ml_estimate is built once for all trials: for "optimal_pvm" the lattice
+    anchored at ``true_params``, and for "husimi" the global grid of ``grid_shape``
     (default (24, 16, 24)).
     """
     if n_trials < 2:
@@ -671,11 +651,9 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
 
     anchor = None
     if scheme == "optimal_pvm":
-        ref = true_params if reference is None else reference
-        experiment = optimal_pvm_experiment(probe, ref, offset_angle=offset_angle,
-                                            triad=triad)
-        anchor = ref        # the protocol's prior estimate fixes the
-        #                     stabilizer copy; see ml_estimate
+        experiment = optimal_pvm_experiment(probe, true_params, offset_angle=offset_angle)
+        anchor = true_params    # the protocol's prior estimate fixes the
+        #                         stabilizer copy; see ml_estimate
     elif scheme == "husimi":
         if directions is None:
             raise DomainError("husimi scheme needs sampling directions")
@@ -702,11 +680,10 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
             f"{n_failed}/{n_trials} trials failed to produce an estimate",
             failed_fraction=n_failed / n_trials)
 
-    truth = true_params.as_array()
-    deltas = _residuals(estimates, true_params)
-    emp_cov = np.cov(deltas.T, ddof=0) if len(deltas) > 1 else np.zeros((3, 3))
-    stats = estimator_stats(estimates, true_params)
-    mean = truth + deltas.mean(axis=0)
+    deltas = _residuals(estimates, true_params)     # at least 2: n_trials >= 2, <= 5% failed
+    emp_cov = np.cov(deltas.T, ddof=0)
+    stats = _residual_moments(deltas, true_params.as_array())
+    mean = stats["mean_estimate"]
     mean_params = RotationParams(min(max(mean[0], 0.0), TWO_PI),
                                  min(max(mean[1], 0.0), math.pi),
                                  mean[2] % TWO_PI)
@@ -714,7 +691,7 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
     gap = emp_cov - bound.bound
     min_eig = float(np.linalg.eigvalsh(gap)[0])
     scale = float(np.linalg.norm(emp_cov, 2))
-    stat_tol = 3.0 * math.sqrt(2.0 / max(len(deltas) - 1, 1)) * scale
+    stat_tol = 3.0 * math.sqrt(2.0 / (len(deltas) - 1)) * scale
     return EstimationReport(
         estimate=mean_params,
         empirical_cov=emp_cov,

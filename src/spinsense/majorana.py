@@ -47,9 +47,6 @@ class MajoranaPoly:
     j: "object"
     coeffs: np.ndarray
 
-    def degree_capacity(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(z, self.coeffs)
 

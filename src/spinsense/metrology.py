@@ -20,6 +20,8 @@ from .states import SpinState
 
 _RANK_RTOL = 1e-10      # eigenvalue <= rtol * max eigenvalue counts as null
 _SUPPORT_TOL = 1e-12    # eigenvalue-pair cutoff in SLD-type denominators
+_PROB_FLOOR = 1e-12     # outcomes at or below this probability carry no information
+_FD_STEP = 1e-5         # central-difference step of fi_from_model
 
 
 @dataclass(frozen=True)
@@ -40,10 +42,9 @@ class SensCov:
 
     def trace_inverse(self) -> float:
         """Tr C^-1, +inf when C is singular at the rank tolerance."""
-        eigs = self.eigenvalues()
-        if eigs[0] <= _RANK_RTOL * max(eigs[-1], 1.0):
+        if self.is_singular():
             return math.inf
-        return float(np.sum(1.0 / eigs))
+        return float(np.sum(1.0 / self.eigenvalues()))
 
     def is_singular(self) -> bool:
         eigs = self.eigenvalues()
@@ -227,13 +228,12 @@ def avg_variance(state: SpinState) -> float:
     return float(elliprf(*(1.0 / lam)) / (4.0 * math.sqrt(np.prod(lam))))
 
 
-def classical_fi(probs: np.ndarray, dprobs: np.ndarray,
-                 labels=None, prob_floor: float = 1e-12) -> QfiMatrix:
+def classical_fi(probs: np.ndarray, dprobs: np.ndarray) -> QfiMatrix:
     """Classical Fisher information matrix of a finite outcome model.
 
     probs: outcome probabilities, shape (n,), non-negative, summing to 1.
     dprobs: parameter derivatives, shape (D, n).
-    Outcomes with probability <= prob_floor are excluded.
+    Outcomes with probability <= 1e-12 are excluded.
     """
     p = np.asarray(probs, dtype=float)
     dp = np.atleast_2d(np.asarray(dprobs, dtype=float))
@@ -244,37 +244,33 @@ def classical_fi(probs: np.ndarray, dprobs: np.ndarray,
     if dp.shape[1] != len(p):
         raise DomainError("dprobs must have one column per outcome")
     d = dp.shape[0]
-    keep = p > prob_floor
+    keep = p > _PROB_FLOOR
     f = np.zeros((d, d))
     for i in range(d):
         for k in range(i, d):
             val = float(np.sum(dp[i, keep] * dp[k, keep] / p[keep]))
             f[i, k] = f[k, i] = val
-    if labels is None:
-        labels = tuple(f"p{i}" for i in range(d))
-    return _finish_fi_matrix(f, labels)
+    return _finish_fi_matrix(f, [f"p{i}" for i in range(d)])
 
 
-def fi_from_model(model, params: np.ndarray, step: float = 1e-5,
-                  labels=None, prob_floor: float = 1e-12) -> QfiMatrix:
-    """classical_fi with derivatives from central differences of ``model``,
-    a callable mapping a parameter vector to outcome probabilities."""
+def fi_from_model(model, params: np.ndarray) -> QfiMatrix:
+    """classical_fi with derivatives from step-1e-5 central differences of
+    ``model``, a callable mapping a parameter vector to outcome probabilities."""
     params = np.asarray(params, dtype=float)
     p0 = np.asarray(model(params), dtype=float)
     d = len(params)
     dp = np.zeros((d, len(p0)))
     for i in range(d):
         up, dn = params.copy(), params.copy()
-        up[i] += step
-        dn[i] -= step
-        dp[i] = (np.asarray(model(up)) - np.asarray(model(dn))) / (2.0 * step)
-    return classical_fi(p0, dp, labels=labels, prob_floor=prob_floor)
+        up[i] += _FD_STEP
+        dn[i] -= _FD_STEP
+        dp[i] = (np.asarray(model(up)) - np.asarray(model(dn))) / (2.0 * _FD_STEP)
+    return classical_fi(p0, dp)
 
 
-def gaussian_fi(dmu: np.ndarray, sigma: np.ndarray, dsigma=None,
-                labels=None) -> QfiMatrix:
-    """Fisher information of a Gaussian model:
-    F_ij = dmu_i^T S^-1 dmu_j + Tr(S^-1 dS_i S^-1 dS_j)/2.
+def gaussian_fi(dmu: np.ndarray, sigma: np.ndarray, dsigma=None) -> QfiMatrix:
+    """Fisher information of a Gaussian model, with parameters labelled
+    p0, p1, ...: F_ij = dmu_i^T S^-1 dmu_j + Tr(S^-1 dS_i S^-1 dS_j)/2.
 
     dmu: shape (D, n) mean derivatives; sigma: (n, n) SPD covariance;
     dsigma: optional (D, n, n) covariance derivatives.
@@ -298,9 +294,7 @@ def gaussian_fi(dmu: np.ndarray, sigma: np.ndarray, dsigma=None,
             val = float(dmu[i] @ s_inv @ dmu[k])
             val += 0.5 * float(np.trace(s_inv @ dsigma[i] @ s_inv @ dsigma[k]))
             f[i, k] = f[k, i] = val
-    if labels is None:
-        labels = tuple(f"p{i}" for i in range(d))
-    return _finish_fi_matrix(f, labels)
+    return _finish_fi_matrix(f, [f"p{i}" for i in range(d)])
 
 
 @dataclass(frozen=True)
@@ -315,12 +309,12 @@ class SingularityReport:
     #                              | "state_deficiency" | "undetermined"
 
 
-def singular_diagnosis(fi: QfiMatrix, perturbed=None, n_probes: int = 5,
-                       scale: float = 1e-3, seed: int = 0) -> SingularityReport:
+def singular_diagnosis(fi: QfiMatrix, perturbed=None) -> SingularityReport:
     """Rank, inestimable directions, and pseudoinverse bound for ``fi``.
 
     ``perturbed``: optional callable (scale, rng) -> QfiMatrix recomputed at
-    randomly perturbed parameters; when provided, a rank that recovers under
+    randomly perturbed parameters; when provided, it is called five times at
+    scale 1e-3 with one generator seeded 0, and a rank that recovers under
     perturbation is classified as a coordinate singularity, a persistent
     deficit as a state deficiency.
     """
@@ -333,8 +327,8 @@ def singular_diagnosis(fi: QfiMatrix, perturbed=None, n_probes: int = 5,
     elif perturbed is None:
         classification = "undetermined"
     else:
-        rng = np.random.default_rng(seed)
-        recovered = any(perturbed(scale, rng).rank > fi.rank for _ in range(n_probes))
+        rng = np.random.default_rng(0)
+        recovered = any(perturbed(1e-3, rng).rank > fi.rank for _ in range(5))
         classification = "coordinate_singularity" if recovered else "state_deficiency"
     return SingularityReport(
         rank=fi.rank,

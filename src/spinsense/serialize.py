@@ -132,8 +132,6 @@ def params_from_any(obj) -> RotationParams:
 
 
 _SCHEMES = ("optimal_pvm", "husimi")
-_FAMILIES = ("basis", "coherent", "noon", "cat", "balanced", "king",
-             "two-mode-coherent", "coherent+squeezed")
 
 
 def validate_experiment_config(data: dict) -> dict:
@@ -170,9 +168,15 @@ def validate_experiment_config(data: dict) -> dict:
         dirs = data.get("directions")
         if not isinstance(dirs, list) or not dirs:
             raise ConfigError("husimi scheme requires a 'directions' list")
-        out["directions"] = [(float(d["polar"]), float(d["azimuth"])) for d in dirs]
+        try:
+            out["directions"] = [(float(d["polar"]), float(d["azimuth"])) for d in dirs]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"each direction needs a numeric polar and azimuth: {exc!r}") from exc
     if "offset_angle" in data:
-        out["offset_angle"] = float(data["offset_angle"])
+        try:
+            out["offset_angle"] = float(data["offset_angle"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"offset_angle must be a number: {exc}") from exc
     if "output" in data:
         out["output"] = str(data["output"])
     return out

@@ -9,6 +9,7 @@ from .errors import DegenerateInputError, DomainError, KingSearchError
 from .su2 import TWO_PI, HalfInt, angular_momentum_moments
 
 _NORM_TOL = 1e-9
+_KING_TOL = 1e-8      # isotropy error the King fallback search must reach
 
 
 @dataclass(frozen=True)
@@ -255,8 +256,7 @@ def _king_support(twice_j: int):
     return None
 
 
-def king_state(j: HalfInt, seed: int = 20, n_starts: int = 20,
-               tol: float = 1e-8) -> SpinState:
+def king_state(j: HalfInt, seed: int = 20, n_starts: int = 20) -> SpinState:
     """State with vanishing mean spin and isotropic angular momentum
     covariance C = (J(J+1)/3) * identity.
 
@@ -266,9 +266,9 @@ def king_state(j: HalfInt, seed: int = 20, n_starts: int = 20,
     3 levels of one residue class of m mod 3 (see ``_king_support``).  No
     such support exists only for 2J in {1, 2, 3, 5}; there a multi-start
     numerical search minimizes Tr C^-1 + penalty |<J>|^2 and a least-squares
-    polish drives the optimality conditions below ``tol``, and its failure
-    raises KingSearchError with the best achieved values.  ``seed``,
-    ``n_starts`` and ``tol`` matter only on that fallback path.
+    polish drives the optimality conditions below 1e-8, and its failure
+    raises KingSearchError with the best achieved values.  ``seed`` and
+    ``n_starts`` matter only on that fallback path.
     """
     target = j.j * (j.j + 1.0) / 3.0
     m_star = math.sqrt(target)
@@ -323,9 +323,9 @@ def king_state(j: HalfInt, seed: int = 20, n_starts: int = 20,
                 best_tr = np.inf
             else:
                 best_tr = float(np.sum(1.0 / eigs))
-        if best_err <= tol * 1e-2:
+        if best_err <= _KING_TOL * 1e-2:
             break
-    if best_amps is None or best_err > tol:
+    if best_amps is None or best_err > _KING_TOL:
         raise KingSearchError(
             f"no isotropic state found for J = {j}: best isotropy error "
             f"{best_err:.3e}, best Tr C^-1 {best_tr:.6f} "

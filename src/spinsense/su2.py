@@ -22,6 +22,7 @@ TWO_PI = 2.0 * math.pi
 _LEVI_CIVITA = np.zeros((3, 3, 3))
 _LEVI_CIVITA[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
 _LEVI_CIVITA[[0, 1, 2], [2, 0, 1], [1, 2, 0]] = -1.0
+_QUAD_ORDER = 64      # Gauss-Legendre nodes of numerical_generator's quadrature route
 
 
 @dataclass(frozen=True)
@@ -286,19 +287,15 @@ def omega_so3(omega) -> np.ndarray:
 def _unitary_raw(j: HalfInt, raw: np.ndarray) -> np.ndarray:
     """exp(-i J.omega(raw)) without range validation (finite differences may
     step slightly outside the declared parameter ranges)."""
-    ops = make_operators(j)
-    w = _omega_of(raw)
-    h = ops.along(w)
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+    return _axis_angle_unitary(j, 1.0, _omega_of(raw))
 
 
 def numerical_generator(j: HalfInt, p: RotationParams, k, fd_step: float = 1e-5,
-                        quad_order: int = 64, tol: float = 1e-7) -> np.ndarray:
+                        tol: float = 1e-7) -> np.ndarray:
     """Generator G_k = (i d_k R) R^dag computed two independent ways.
 
     (a) central finite differences of the rotation unitary in parameter k;
-    (b) Gauss-Legendre quadrature of
+    (b) 64-node Gauss-Legendre quadrature of
         G_k = (int_0^1 da  e^{-i a J.w} J e^{+i a J.w}) . d_k w,  w = theta n.
 
     The two routes must agree to ``tol`` in max-norm (relative to the scale
@@ -325,7 +322,7 @@ def numerical_generator(j: HalfInt, p: RotationParams, k, fd_step: float = 1e-5,
     h = ops.along(w)
     vals, vecs = np.linalg.eigh(h)
     jrot = [vecs.conj().T @ ji @ vecs for ji in ops.vector()]
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_ORDER)
     alphas = 0.5 * (nodes + 1.0)
     weights = 0.5 * weights
     n = p.axis
@@ -355,9 +352,13 @@ def numerical_generator(j: HalfInt, p: RotationParams, k, fd_step: float = 1e-5,
 def angular_momentum_moments(j: HalfInt, amps: np.ndarray):
     """Mean vector <J_i> and covariance Cov(J_i, J_j) of a normalized amplitude
     vector in the canonical basis order.  Returns (mean, cov) as real arrays."""
-    ops = make_operators(j)
     psi = np.asarray(amps, dtype=complex)
-    jpsi = [op @ psi for op in ops.vector()]
+    return _moments(psi, [op @ psi for op in make_operators(j).vector()])
+
+
+def _moments(psi: np.ndarray, jpsi) -> tuple:
+    """Mean <J_i> and covariance of the state ``psi`` from its images
+    jpsi[i] = J_i psi, arrays of psi's shape."""
     mean = np.array([np.vdot(psi, v).real for v in jpsi])
     cov = np.empty((3, 3))
     for a in range(3):

@@ -1,7 +1,10 @@
 import json
 import math
+import shlex
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,13 @@ from spinsense.cli import main
 from spinsense.serialize import load_state_file
 from spinsense.states import balanced_state
 from spinsense.su2 import HalfInt
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# a config that passes the schema check; the exit-2 cases each break one part
+VALID_CONFIG = {"probe": {"family": "king", "twice_j": 6},
+                "true_params": {"theta": 0.8, "cap_theta": 1.1, "cap_phi": 2.3},
+                "scheme": "optimal_pvm", "n_shots": 2000, "n_trials": 10, "seed": 42}
 
 
 def run_cli(args):
@@ -45,6 +55,12 @@ class TestStateCommand:
         code = run_cli(["state", "balanced", "--j", "2", "--m", "0.4",
                         "--out", tmp_path / "x.json"])
         assert code == 2
+
+    @pytest.mark.parametrize("args", [["noon", "--j", "abc"], ["basis", "--j", "2"],
+                                      ["balanced", "--j", "2"]],
+                             ids=["j_not_a_number", "basis_without_m", "balanced_without_m"])
+    def test_malformed_arguments_exit_2(self, tmp_path, args):
+        assert run_cli(["state", *args, "--out", tmp_path / "x.json"]) == 2
 
     def test_two_mode_state(self, tmp_path, capsys):
         out = tmp_path / "tm.json"
@@ -96,6 +112,16 @@ class TestConstellationCommand:
         assert len(blocks) > 100
         for b in blocks:
             assert sum(s["multiplicity"] for s in b["stars"]) == b["N"]
+            # amplitudes beyond mode a's cutoff of 42 photons (mode b's is 122)
+            if b["N"] <= 122:
+                assert b["n_cut"] == max(b["N"] - 42, 0)
+
+    def test_malformed_subspaces_exit_2(self, tmp_path):
+        state_file = tmp_path / "tm.json"
+        assert run_cli(["state", "two-mode-coherent", "--alpha-re", "2", "--beta-re", "1",
+                        "--n-max", "40", "--out", state_file]) == 0
+        assert run_cli(["constellation", state_file, "--subspaces", "4,x",
+                        "--out", tmp_path / "x.json"]) == 2
 
 class TestHusimiCommand:
     def test_grid_csv(self, tmp_path):
@@ -214,9 +240,18 @@ class TestSimulateCommand:
         assert run_cli(["simulate", cfg, "--out", out2]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_schema_violation_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("config", [
+        {"probe": {"family": "king", "twice_j": 6}},
+        dict(VALID_CONFIG, scheme="husimi", directions=[{"polar": 0.8, "azimuth": 0.4},
+                                                        {"polar": 1.9}]),
+        dict(VALID_CONFIG, probe={"family": "king"}),
+        dict(VALID_CONFIG, offset_angle="abc"),
+        dict(VALID_CONFIG, probe={"family": "basis", "twice_j": 6}),
+    ], ids=["missing_keys", "direction_without_azimuth", "probe_without_j",
+            "offset_angle_not_a_number", "basis_without_m"])
+    def test_schema_violation_exit_2(self, tmp_path, config):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"probe": {"family": "king", "twice_j": 6}}))
+        path.write_text(json.dumps(config))
         assert run_cli(["simulate", path]) == 2
 
     def test_theta_zero_exit_3(self, tmp_path):
@@ -240,6 +275,24 @@ class TestSimulateCommand:
         out = tmp_path / "gps.json"
         assert run_cli(["simulate", cfg, "--out", out]) == 0
         assert json.loads(out.read_text())["n_trials"] == 4
+
+
+def _readme_tour():
+    """The spinsense commands of README's CLI quick tour, as argument lists."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI quick tour", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    return [words[1:] for words in lines if words[:1] == ["spinsense"]]
+
+
+def test_readme_tour(tmp_path, monkeypatch):
+    # every documented command, in order, from a directory holding configs/
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    tour = _readme_tour()
+    assert tour
+    for argv in tour:
+        assert main(argv) == 0, argv
 
 
 def test_console_entry_point():
