@@ -50,7 +50,7 @@ def _state_from_args(args):
     if family == "balanced":
         return states.balanced_state(_parse_j(args.j), args.m)
     if family == "king":
-        return states.king_state(_parse_j(args.j), seed=args.seed)
+        return states.king_state(_parse_j(args.j))
     if family == "two-mode-coherent":
         alpha = complex(args.alpha_re, args.alpha_im)
         beta = complex(args.beta_re, args.beta_im)
@@ -228,7 +228,7 @@ def _probe_from_config(probe_spec) -> states.SpinState:
         return probe_spec[key]
 
     if "twice_j" in probe_spec:
-        j = su2.HalfInt(int(probe_spec["twice_j"]))
+        j = su2.HalfInt(probe_spec["twice_j"])
     elif "j" in probe_spec:
         j = su2.HalfInt.from_j(probe_spec["j"])
     else:
@@ -307,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--xi-im", type=float, default=0.0)
     ps.add_argument("--n-max", type=int, default=None)
     ps.add_argument("--n-max-b", type=int, default=None)
-    ps.add_argument("--seed", type=int, default=20,
-                    help="seed of the King fallback search, used only for 2J in {1, 2, 3, 5}")
     ps.add_argument("--out", default="state.json")
     ps.set_defaults(func=cmd_state)
 

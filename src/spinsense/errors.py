@@ -54,7 +54,7 @@ class NonIdentifiableError(SpinSenseError):
 
 
 class KingSearchError(SpinSenseError):
-    """No state with isotropic second moments was found for this J."""
+    """No state with isotropic second moments exists for this J."""
 
     def __init__(self, message, best_trace_inverse=None, best_isotropy_error=None):
         super().__init__(message)

@@ -326,7 +326,7 @@ def optimal_pvm_experiment(probe: SpinState, reference: RotationParams,
     for axis in _OFFSET_AXES:
         u = axis / np.linalg.norm(axis)
         ref = compose(reference, RotationParams.from_omega(offset_angle * u))
-        est_state = SpinState(probe.j, rotation_unitary(probe.j, ref) @ probe.amps)
+        est_state = SpinState(probe.j, omega_rotate(probe.j, ref.omega, probe.amps))
         stages.append(optimal_pvm(est_state))
     return RotationExperiment(probe, stages)
 
@@ -715,7 +715,7 @@ def born_probability_model(model: MeasurementModel, probe: SpinState):
     def prob_fn(params) -> np.ndarray:
         if not isinstance(params, RotationParams):
             params = RotationParams(*np.asarray(params, dtype=float))
-        p = model.kernel.probabilities(rotation_unitary(probe.j, params) @ probe.amps)
+        p = model.kernel.probabilities(omega_rotate(probe.j, params.omega, probe.amps))
         return p / p.sum()
 
     return prob_fn
@@ -725,5 +725,5 @@ def born_derivatives(model: MeasurementModel, probe: SpinState,
                      params: RotationParams):
     """Exact probabilities and parameter derivatives of the Born model:
     dp_x/dk = 2 Im <psi|Pi_x (J.g_k)|psi>, with G_k = J.g_k."""
-    p, dp = model.kernel.derivatives(rotation_unitary(probe.j, params) @ probe.amps)
+    p, dp = model.kernel.derivatives(omega_rotate(probe.j, params.omega, probe.amps))
     return p, generator_frame(params).matrix().T @ dp

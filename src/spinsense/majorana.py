@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import DomainError, RootFindingError
 from .states import BlochPoint, SpinState, coherent_state
+from .su2 import _rx
 
 _VANISH_TOL = 1e-10        # rotated-frame amplitude of a unit state treated as zero
 _SEEN_TOL = 1e-6           # the amplitude after a k-fold star's vanishing tail must reach this
@@ -89,18 +90,6 @@ def majorana_poly(state: SpinState) -> MajoranaPoly:
     return MajoranaPoly(j=state.j, coeffs=_sqrt_binomials(state.j.twice_j) * state.amps[::-1])
 
 
-@lru_cache(maxsize=None)
-def _jx_eigenbasis(n: int):
-    """Eigenvalues (exact m values) and real eigenvectors of J_x for 2J = n."""
-    m = (n - 2.0 * np.arange(n + 1)) / 2.0
-    off = np.sqrt(n / 2.0 * (n / 2.0 + 1.0) - m[1:] * (m[1:] + 1.0)) / 2.0
-    vals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    vals = np.round(2.0 * vals) / 2.0
-    for a in (vals, vecs):
-        a.setflags(write=False)
-    return vals, vecs
-
-
 def _sphere(x, south=False) -> np.ndarray:
     """Unit vectors of stereographic coordinates: z = x in the north chart,
     or z = 1/x in the south chart (x = 0 is then the south pole)."""
@@ -127,17 +116,15 @@ def _chart_mean(u) -> np.ndarray:
 
 
 def _rotate_to_pole(amps, n, u):
-    """exp(i theta J_y) exp(i phi J_z) amps for each row of ``u``, with
-    (theta, phi - pi) the angles of u: the rotation that carries the star u
-    to the north pole.  J_y = exp(-i pi/2 J_z) J_x exp(i pi/2 J_z), so this
-    is O(dim^2) per row through the cached real J_x eigenbasis; no unitary
-    is formed.  Returns the rotated rows and (theta, phi)."""
+    """R_y(-theta) R_z(-phi) amps = R_z(pi/2) R_x(-theta) R_z(-phi - pi/2) amps
+    for each row of ``u``, with (theta, phi - pi) the angles of u: the
+    rotation that carries the star u to the north pole, O(dim^2) per row.
+    Returns the rotated rows and (theta, phi)."""
     theta, azimuth = _angles(u)
     phi = azimuth + math.pi
     m = (n - 2.0 * np.arange(n + 1)) / 2.0
-    mu, vecs = _jx_eigenbasis(n)
-    x = (amps * np.exp(1j * (phi[:, None] + math.pi / 2.0) * m)) @ vecs
-    return ((x * np.exp(1j * theta[:, None] * mu)) @ vecs.T) * np.exp(-0.5j * math.pi * m), theta, phi
+    x = _rx(n, np.exp(1j * theta[:, None] * m), amps * np.exp(1j * (phi[:, None] + math.pi / 2.0) * m))
+    return x * np.exp(-0.5j * math.pi * m), theta, phi
 
 
 def _pole_newton(chi, n, k, theta, phi):

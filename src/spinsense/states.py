@@ -6,10 +6,18 @@ import math
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, KingSearchError
-from .su2 import TWO_PI, HalfInt, angular_momentum_moments
+from .su2 import TWO_PI, HalfInt, angular_momentum_moments, omega_rotate
 
 _NORM_TOL = 1e-9
-_KING_TOL = 1e-8      # isotropy error the King fallback search must reach
+# Least Tr C^-1 over all states for the 2J without a King state.  By AM-HM,
+# Tr C^-1 >= 9/(J(J+1)) with equality only for a King state, so each value
+# above that bound certifies that none exists.  A spin-1/2 covariance is
+# always singular.  At J = 1 a state is u + i v in the Cartesian basis, with
+# u orthogonal to v; the covariance eigenvalues are 1 - s, s and (2s - 1)^2
+# with s = |u|^2, and the sum of their inverses is least, 9, at
+# s = (3 + sqrt 3)/6.  The values for 2J = 3 and 5 are numerical minima;
+# the first agrees with 28/9 to rounding.
+_LEAST_TRACE_INVERSE = {1: math.inf, 2: 9.0, 3: 28.0 / 9.0, 5: 1.0523354048}
 
 
 @dataclass(frozen=True)
@@ -92,8 +100,7 @@ class SpinState:
         return complex(np.vdot(self.amps, other.amps))
 
     def rotate(self, params) -> "SpinState":
-        from .su2 import rotation_unitary
-        return SpinState(self.j, rotation_unitary(self.j, params) @ self.amps)
+        return SpinState(self.j, omega_rotate(self.j, params.omega, self.amps))
 
 
 def _canonical_phase(amps: np.ndarray) -> np.ndarray:
@@ -113,8 +120,11 @@ def _canonical(j: HalfInt, amps: np.ndarray) -> SpinState:
 
 
 def _m_index(j: HalfInt, m: float) -> int:
-    twice_m = 2.0 * float(m)
-    rounded = round(twice_m)
+    try:
+        twice_m = 2.0 * float(m)
+        rounded = round(twice_m)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"m must be a finite number, got {m!r}") from None
     if abs(twice_m - rounded) > 1e-9 or (j.twice_j - rounded) % 2 != 0:
         raise DomainError(f"m = {m} does not match the parity of J = {j}")
     if abs(rounded) > j.twice_j:
@@ -189,38 +199,14 @@ def cat_state(j: HalfInt, z: complex) -> SpinState:
 
 def balanced_state(j: HalfInt, m) -> SpinState:
     """(|J m> + |J -m>)/sqrt(2) with m > 1/2: equatorial stars plus polar stars."""
+    i_hi = _m_index(j, m)
     if float(m) <= 0.5:
         raise DomainError(f"balanced state requires m > 1/2, got m = {m}")
-    i_hi = _m_index(j, m)
     i_lo = _m_index(j, -float(m))
     amps = np.zeros(j.dim, dtype=complex)
     amps[i_hi] = 1.0 / math.sqrt(2.0)
     amps[i_lo] += 1.0 / math.sqrt(2.0)
     return SpinState(j, amps)
-
-
-def _isotropy_residual(j: HalfInt, amps: np.ndarray) -> np.ndarray:
-    """Stacked optimality conditions: mean spin zero and isotropic second
-    moments.  Czz is omitted (fixed by the trace once the mean vanishes)."""
-    mean, cov = angular_momentum_moments(j, amps)
-    c = j.j * (j.j + 1.0) / 3.0
-    return np.array([
-        mean[0], mean[1], mean[2],
-        cov[0, 0] - c, cov[1, 1] - c,
-        cov[0, 1], cov[0, 2], cov[1, 2],
-    ])
-
-
-def _isotropy_error(j: HalfInt, amps: np.ndarray) -> float:
-    mean, cov = angular_momentum_moments(j, amps)
-    c = j.j * (j.j + 1.0) / 3.0
-    dev = np.max(np.abs(cov - c * np.eye(3)))
-    return max(dev, float(np.max(np.abs(mean))))
-
-
-def _unpack(x: np.ndarray, dim: int) -> np.ndarray:
-    a = x[:dim] + 1j * x[dim:]
-    return a / np.linalg.norm(a)
 
 
 def _king_support(twice_j: int):
@@ -256,7 +242,7 @@ def _king_support(twice_j: int):
     return None
 
 
-def king_state(j: HalfInt, seed: int = 20, n_starts: int = 20) -> SpinState:
+def king_state(j: HalfInt) -> SpinState:
     """State with vanishing mean spin and isotropic angular momentum
     covariance C = (J(J+1)/3) * identity.
 
@@ -264,11 +250,8 @@ def king_state(j: HalfInt, seed: int = 20, n_starts: int = 20) -> SpinState:
     right parity) the balanced superposition (|J m*> + |J -m*>)/sqrt(2) is
     returned directly.  Otherwise the state is built in closed form on 2 or
     3 levels of one residue class of m mod 3 (see ``_king_support``).  No
-    such support exists only for 2J in {1, 2, 3, 5}; there a multi-start
-    numerical search minimizes Tr C^-1 + penalty |<J>|^2 and a least-squares
-    polish drives the optimality conditions below 1e-8, and its failure
-    raises KingSearchError with the best achieved values.  ``seed`` and
-    ``n_starts`` matter only on that fallback path.
+    such support exists only for 2J in {1, 2, 3, 5}, where KingSearchError
+    carries the least Tr C^-1 over all states (``_LEAST_TRACE_INVERSE``).
     """
     target = j.j * (j.j + 1.0) / 3.0
     m_star = math.sqrt(target)
@@ -277,58 +260,13 @@ def king_state(j: HalfInt, seed: int = 20, n_starts: int = 20) -> SpinState:
             and (j.twice_j - twice_m) % 2 == 0 and twice_m <= j.twice_j):
         return balanced_state(j, twice_m / 2.0)
     support = _king_support(j.twice_j)
-    if support is not None:
-        levels, weights = support
-        amps = np.zeros(j.dim)
-        amps[levels] = np.sqrt(weights)
-        return _canonical(j, amps)
-
-    from scipy.optimize import least_squares, minimize
-
-    dim = j.dim
-    penalty = 10.0 * (j.j + 1.0) ** 2
-
-    def objective(x):
-        a = _unpack(x, dim)
-        mean, cov = angular_momentum_moments(j, a)
-        sign, logdet = np.linalg.slogdet(cov)
-        if sign <= 0 or logdet < -60:
-            return 1e12
-        return float(np.trace(np.linalg.inv(cov)) + penalty * (mean @ mean))
-
-    best_amps = None
-    best_err = np.inf
-    best_tr = np.inf
-    for run in range(n_starts):
-        rng = np.random.default_rng((seed, run))
-        x0 = rng.standard_normal(2 * dim)
-        try:
-            res = minimize(objective, x0, method="L-BFGS-B",
-                           options={"maxiter": 400})
-        except Exception:
-            continue
-        x_stage = res.x if np.isfinite(res.fun) else x0
-        polish = least_squares(
-            lambda x: _isotropy_residual(j, _unpack(x, dim)),
-            x_stage, method="trf", xtol=3e-16, ftol=3e-16, gtol=3e-16,
-            max_nfev=4000)
-        a = _unpack(polish.x, dim)
-        err = _isotropy_error(j, a)
-        if err < best_err:
-            best_err = err
-            best_amps = a
-            _, cov = angular_momentum_moments(j, a)
-            eigs = np.linalg.eigvalsh(cov)
-            if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
-                best_tr = np.inf
-            else:
-                best_tr = float(np.sum(1.0 / eigs))
-        if best_err <= _KING_TOL * 1e-2:
-            break
-    if best_amps is None or best_err > _KING_TOL:
+    if support is None:
+        best = _LEAST_TRACE_INVERSE[j.twice_j]
         raise KingSearchError(
-            f"no isotropic state found for J = {j}: best isotropy error "
-            f"{best_err:.3e}, best Tr C^-1 {best_tr:.6f} "
-            f"(bound 9/(J(J+1)) = {9.0 / (j.j * (j.j + 1.0)):.6f})",
-            best_trace_inverse=best_tr, best_isotropy_error=best_err)
-    return _canonical(j, best_amps)
+            f"no King state exists for J = {j}: the least Tr C^-1 is {best:.10g}, "
+            f"above the bound 9/(J(J+1)) = {9.0 / (j.j * (j.j + 1.0)):.6f} that "
+            "only a King state reaches", best_trace_inverse=best)
+    levels, weights = support
+    amps = np.zeros(j.dim)
+    amps[levels] = np.sqrt(weights)
+    return _canonical(j, amps)

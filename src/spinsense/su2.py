@@ -41,8 +41,11 @@ class HalfInt:
     @classmethod
     def from_j(cls, j):
         """Build from a numeric J, requiring it to be a multiple of 1/2."""
-        twice = 2.0 * float(j)
-        rounded = round(twice)
+        try:
+            twice = 2.0 * float(j)
+            rounded = round(twice)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"J must be a finite number, got {j!r}") from None
         if abs(twice - rounded) > 1e-12:
             raise DomainError(f"J must be integer or half-odd, got {j}")
         return cls(int(rounded))
@@ -220,16 +223,8 @@ def so3_matrix(p: RotationParams) -> np.ndarray:
 
 
 def rotation_unitary(j: HalfInt, p: RotationParams) -> np.ndarray:
-    """exp(-i theta J.n) via eigendecomposition of the Hermitian J.n."""
-    return _axis_angle_unitary(j, p.theta, p.axis)
-
-
-def _axis_angle_unitary(j: HalfInt, theta: float, axis) -> np.ndarray:
-    ops = make_operators(j)
-    h = ops.along(axis)
-    vals, vecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * theta * vals)
-    return (vecs * phases) @ vecs.conj().T
+    """exp(-i theta J.n): omega_rotate applied to the identity."""
+    return omega_rotate(j, p.omega, np.eye(j.dim)).T
 
 
 def generator_frame(p: RotationParams) -> GeneratorFrame:
@@ -256,21 +251,39 @@ def _omega_of(raw: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _j_rows(twice_j: int) -> np.ndarray:
-    """(J_x, J_y, J_z) flattened to the rows of a 3 x dim^2 matrix."""
-    return _readonly(np.stack(_make_operators_cached(twice_j).vector()).reshape(3, -1))
+def _jx_eigenbasis(twice_j: int):
+    """m values in basis order, and real eigenvectors of J_x whose column i
+    has the eigenvalue m[i] exactly."""
+    m = HalfInt(twice_j).m_values()
+    off = np.sqrt(twice_j / 2.0 * (twice_j / 2.0 + 1.0) - m[1:] * (m[1:] + 1.0)) / 2.0
+    _, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return _readonly(m), _readonly(vecs[:, ::-1].copy())
+
+
+def _rx(twice_j: int, phase, amps) -> np.ndarray:
+    """V diag(phase) V^T amps, with V the cached real J_x eigenbasis, for
+    states in the rows of ``amps``: two products.  With phase = e^{-i beta m}
+    this is exp(-i beta J_x) amps.  J_y = e^{-i pi/2 J_z} J_x e^{i pi/2 J_z},
+    so a y rotation is an x rotation between z quarter turns, which fold into
+    the z phases on either side."""
+    vecs = _jx_eigenbasis(twice_j)[1]
+    return ((amps @ vecs) * phase) @ vecs.T
 
 
 def omega_rotate(j: HalfInt, omega, amps) -> np.ndarray:
     """exp(-i J.omega) amps for a rotation vector omega, or for each vector of
-    a stack of shape (..., 3) (result (..., dim)), by batched Hermitian
-    eigendecomposition; no unitary is formed.  ``amps`` is one state, or a
-    stack of shape (..., dim) whose states rotate by their own vectors."""
-    w = np.asarray(omega, dtype=float)
-    h = (w @ _j_rows(j.twice_j)).reshape(*w.shape[:-1], j.dim, j.dim)     # J.omega
-    vals, vecs = np.linalg.eigh(h)
-    coef = np.exp(-1j * vals) * (np.conj(amps)[..., None, :] @ vecs)[..., 0, :].conj()
-    return np.einsum("...ik,...k->...i", vecs, coef)                # V e^{-i vals} V^dag amps
+    a stack of shape (..., 3) (result (..., dim)); no unitary is formed.
+    ``amps`` is one state, or a stack of shape (..., dim) whose states rotate
+    by their own vectors.  With t, T and F the norm, polar angle and azimuth
+    of omega, the rotation is R_z(F) R_y(T) R_z(t) R_y(-T) R_z(-F)."""
+    w = np.asarray(omega, dtype=float)[..., None, :]
+    x, y, z = w[..., 0], w[..., 1], w[..., 2]
+    rho = np.hypot(x, y)
+    angles = np.stack([np.arctan2(y, x) + math.pi / 2.0, np.hypot(rho, z), np.arctan2(rho, z)])
+    # R_z(F + pi/2), R_z(t) and R_x(T) as phases in their eigenbases
+    rz, spin, tilt = np.exp(-1j * angles * _jx_eigenbasis(j.twice_j)[0])
+    psi = _rx(j.twice_j, tilt.conj(), amps * rz.conj()) * spin
+    return _rx(j.twice_j, tilt, psi) * rz
 
 
 def omega_so3(omega) -> np.ndarray:
@@ -282,12 +295,6 @@ def omega_so3(omega) -> np.ndarray:
     c, s = np.cos(theta)[..., None], np.sin(theta)[..., None]
     nx = -np.einsum("ijk,...k->...ij", _LEVI_CIVITA, n)     # nx v = n x v
     return c * np.eye(3) + (1.0 - c) * n[..., :, None] * n[..., None, :] + s * nx
-
-
-def _unitary_raw(j: HalfInt, raw: np.ndarray) -> np.ndarray:
-    """exp(-i J.omega(raw)) without range validation (finite differences may
-    step slightly outside the declared parameter ranges)."""
-    return _axis_angle_unitary(j, 1.0, _omega_of(raw))
 
 
 def numerical_generator(j: HalfInt, p: RotationParams, k, fd_step: float = 1e-5,
@@ -313,8 +320,9 @@ def numerical_generator(j: HalfInt, p: RotationParams, k, fd_step: float = 1e-5,
     dn = raw.copy()
     up[k] += fd_step
     dn[k] -= fd_step
-    dr = (_unitary_raw(j, up) - _unitary_raw(j, dn)) / (2.0 * fd_step)
-    g_fd = 1j * dr @ _unitary_raw(j, raw).conj().T
+    r_up, r_dn, r = np.swapaxes(omega_rotate(
+        j, np.stack([_omega_of(up), _omega_of(dn), _omega_of(raw)])[:, None], np.eye(j.dim)), 1, 2)
+    g_fd = 1j * (r_up - r_dn) / (2.0 * fd_step) @ r.conj().T
 
     # route (b): quadrature of the conjugated-J integral
     ops = make_operators(j)

@@ -57,8 +57,10 @@ class TestStateCommand:
         assert code == 2
 
     @pytest.mark.parametrize("args", [["noon", "--j", "abc"], ["basis", "--j", "2"],
-                                      ["balanced", "--j", "2"]],
-                             ids=["j_not_a_number", "basis_without_m", "balanced_without_m"])
+                                      ["balanced", "--j", "2"], ["noon", "--j", "nan"],
+                                      ["noon", "--j", "inf"]],
+                             ids=["j_not_a_number", "basis_without_m", "balanced_without_m",
+                                  "j_nan", "j_inf"])
     def test_malformed_arguments_exit_2(self, tmp_path, args):
         assert run_cli(["state", *args, "--out", tmp_path / "x.json"]) == 2
 
@@ -247,8 +249,14 @@ class TestSimulateCommand:
         dict(VALID_CONFIG, probe={"family": "king"}),
         dict(VALID_CONFIG, offset_angle="abc"),
         dict(VALID_CONFIG, probe={"family": "basis", "twice_j": 6}),
+        dict(VALID_CONFIG, probe={"family": "king", "twice_j": "abc"}),
+        dict(VALID_CONFIG, probe={"family": "king", "twice_j": 6.7}),
+        dict(VALID_CONFIG, probe={"family": "king", "j": "abc"}),
+        dict(VALID_CONFIG, probe={"family": "basis", "twice_j": 6, "m": "abc"}),
     ], ids=["missing_keys", "direction_without_azimuth", "probe_without_j",
-            "offset_angle_not_a_number", "basis_without_m"])
+            "offset_angle_not_a_number", "basis_without_m", "twice_j_not_a_number",
+            "twice_j_not_an_integer",
+            "j_not_a_number", "m_not_a_number"])
     def test_schema_violation_exit_2(self, tmp_path, config):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))

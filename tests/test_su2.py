@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from conftest import random_params
@@ -184,9 +185,10 @@ class TestGeneratorFrame:
             assert abs(abs(det) - expect) < 1e-10
 
     def test_matches_numerical_generator(self):
+        # up to 2J = 60, where the two routes of the oracle share no eigh
         rng = np.random.default_rng(9)
-        for _ in range(6):
-            j = HalfInt(int(rng.integers(1, 7)))
+        for twice_j in [*rng.integers(1, 7, size=6), 20, 60]:
+            j = HalfInt(int(twice_j))
             p = random_params(rng, theta_range=(0.1, 2.9), cap_range=(0.2, 2.9))
             ops = make_operators(j)
             f = generator_frame(p)
@@ -260,3 +262,43 @@ class TestStacks:
             u = rotation_unitary(j, RotationParams.from_omega(w[k]))
             assert np.max(np.abs(out[k] - u @ amps[k])) < 1e-12
             assert np.max(np.abs(one[k] - u @ amps[0])) < 1e-12
+
+
+FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+def _eigh_rotation(j, w):
+    """exp(-i J.w) by eigendecomposition of the Hermitian J.w."""
+    vals, vecs = np.linalg.eigh(make_operators(j).along(w))
+    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+
+
+@FIXED
+@given(twice_j=st.integers(1, 120), seed=st.integers(0, 2 ** 32 - 1),
+       axis=st.sampled_from(["generic", "zero", "+z", "-z"]),
+       shape=st.sampled_from(["one", "one state, stacked vectors", "stacked"]))
+def test_omega_rotate_matches_eigh_oracle(twice_j, seed, axis, shape):
+    # |omega| <= 2 pi; on the z axis and at omega = 0 the azimuth is undefined
+    rng = np.random.default_rng(seed)
+    j = HalfInt(twice_j)
+    w = rng.normal(size=(3, 3))
+    w *= rng.uniform(0.0, 2.0 * math.pi, size=(3, 1)) / np.linalg.norm(w, axis=1, keepdims=True)
+    if axis == "zero":
+        w[:] = 0.0
+    elif axis != "generic":
+        w[:, :2] = 0.0
+        w[:, 2] = np.abs(w[:, 2]) * (1.0 if axis == "+z" else -1.0)
+    amps = rng.normal(size=(3, j.dim)) + 1j * rng.normal(size=(3, j.dim))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    if shape == "one":
+        want = [_eigh_rotation(j, w[0]) @ amps[0]]
+        got = [omega_rotate(j, w[0], amps[0])]
+    elif shape == "stacked":
+        want = [_eigh_rotation(j, w[k]) @ amps[k] for k in range(3)]
+        got = omega_rotate(j, w, amps)
+    else:
+        want = [_eigh_rotation(j, w[k]) @ amps[0] for k in range(3)]
+        got = omega_rotate(j, w, amps[0])
+    assert np.max(np.abs(np.asarray(got) - np.asarray(want))) < 1e-13
+    r = rotation_unitary(j, RotationParams.from_omega(w[0]))
+    assert np.max(np.abs(r @ r.conj().T - np.eye(j.dim))) < 1e-13
