@@ -8,13 +8,12 @@ Exit codes: 0 success, 2 usage or config error, 3 mathematical infeasibility
 
 import argparse
 import csv
-import json
 import math
 import sys
 
 import numpy as np
 
-from . import estimation, majorana, metrology, serialize, states, su2, twomode
+from . import estimation, majorana, metrology, serialize, su2, twomode
 from .errors import (ConfigError, DomainError, KingSearchError,
                      NonIdentifiableError, NumericalToleranceError,
                      SingularInformationError, SpinSenseError, TruncationError)
@@ -24,49 +23,11 @@ _INFEASIBLE_EXIT = 3
 _NUMERICAL_EXIT = 4
 
 
-def _parse_j(text: str) -> su2.HalfInt:
-    text = text.strip()
-    num, slash, den = text.partition("/")
-    try:        # float() also rejects any n/d with d other than 2
-        number = int(num) if slash and den.strip() == "2" else float(text)
-    except ValueError:
-        raise DomainError(f"J must be given as n, n.5 or n/2, got {text!r}") from None
-    return su2.HalfInt(number) if slash else su2.HalfInt.from_j(number)
-
-
-def _state_from_args(args):
-    family = args.family
-    if family in ("basis", "balanced") and args.m is None:
-        raise DomainError(f"the {family} family needs --m")
-    if family == "basis":
-        return states.basis_state(_parse_j(args.j), args.m)
-    if family == "coherent":
-        return states.coherent_state(_parse_j(args.j),
-                                     states.BlochPoint(args.polar, args.azimuth))
-    if family == "noon":
-        return states.noon_state(_parse_j(args.j))
-    if family == "cat":
-        return states.cat_state(_parse_j(args.j), complex(args.z_re, args.z_im))
-    if family == "balanced":
-        return states.balanced_state(_parse_j(args.j), args.m)
-    if family == "king":
-        return states.king_state(_parse_j(args.j))
-    if family == "two-mode-coherent":
-        alpha = complex(args.alpha_re, args.alpha_im)
-        beta = complex(args.beta_re, args.beta_im)
-        n_max = args.n_max or twomode.default_n_max(abs(alpha) ** 2 + abs(beta) ** 2)
-        return twomode.two_mode_coherent(alpha, beta, n_max)
-    if family == "coherent+squeezed":
-        alpha = complex(args.alpha_re, args.alpha_im)
-        xi = complex(args.xi_re, args.xi_im)
-        n_max = args.n_max or twomode.default_n_max(abs(alpha) ** 2)
-        nb = args.n_max_b or twomode.squeezed_n_max(xi)
-        return twomode.coherent_plus_squeezed(alpha, xi, n_max, n_max_b=nb)
-    raise DomainError(f"unknown family {family!r}")
-
-
 def cmd_state(args) -> int:
-    state = _state_from_args(args)
+    # the parsed arguments are the family's spec once each re/im pair is joined
+    state = serialize.probe_from_spec(dict(
+        vars(args), z=[args.z_re, args.z_im], alpha=[args.alpha_re, args.alpha_im],
+        beta=[args.beta_re, args.beta_im], xi=[args.xi_re, args.xi_im]))
     if isinstance(state, twomode.TwoModeState):
         payload = serialize.two_mode_to_dict(state)
         mean, _ = twomode.spin_moments(state)
@@ -108,9 +69,7 @@ def cmd_constellation(args) -> int:
 
 
 def cmd_husimi(args) -> int:
-    state = serialize.load_state_file(args.state)
-    if isinstance(state, twomode.TwoModeState):
-        raise DomainError("husimi export needs a single spin-J state file")
+    state = serialize.load_spin_state_file(args.state)
     grid = majorana.husimi_grid(state, args.n_polar, args.n_azimuth)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -143,9 +102,7 @@ def _params_to_euler_zyz(p: su2.RotationParams):
 
 
 def cmd_qfi(args) -> int:
-    state = serialize.load_state_file(args.state)
-    if isinstance(state, twomode.TwoModeState):
-        raise DomainError("qfi needs a single spin-J state file")
+    state = serialize.load_spin_state_file(args.state)
     p = su2.RotationParams(args.theta, args.cap_theta, args.cap_phi)
     fi = metrology.qfi_rotation_matrix(state, p)
     if args.parametrization == "cartesian":
@@ -191,9 +148,7 @@ def cmd_qfi(args) -> int:
 
 
 def cmd_crb(args) -> int:
-    state = serialize.load_state_file(args.state)
-    if isinstance(state, twomode.TwoModeState):
-        raise DomainError("crb needs a single spin-J state file")
+    state = serialize.load_spin_state_file(args.state)
     p = su2.RotationParams(args.theta, args.cap_theta, args.cap_phi)
     fi = metrology.qfi_rotation_matrix(state, p)
     bound = metrology.crb(fi, args.n_shots)
@@ -214,58 +169,12 @@ def cmd_crb(args) -> int:
     return 0
 
 
-def _probe_from_config(probe_spec) -> states.SpinState:
-    if "file" in probe_spec:
-        state = serialize.load_state_file(probe_spec["file"])
-        if isinstance(state, twomode.TwoModeState):
-            raise ConfigError("simulation probes must be single spin-J states")
-        return state
-    family = probe_spec.get("family")
-
-    def need(key):
-        if key not in probe_spec:
-            raise ConfigError(f"probe family {family!r} needs {key!r}")
-        return probe_spec[key]
-
-    if "twice_j" in probe_spec:
-        j = su2.HalfInt(probe_spec["twice_j"])
-    elif "j" in probe_spec:
-        j = su2.HalfInt.from_j(probe_spec["j"])
-    else:
-        raise ConfigError("probe needs 'twice_j' or 'j'")
-    if family == "king":
-        return states.king_state(j)
-    if family == "noon":
-        return states.noon_state(j)
-    if family == "basis":
-        return states.basis_state(j, need("m"))
-    if family == "balanced":
-        return states.balanced_state(j, need("m"))
-    if family == "coherent":
-        return states.coherent_state(j, states.BlochPoint(need("polar"), need("azimuth")))
-    if family == "cat":
-        return states.cat_state(j, complex(*need("z")))
-    raise ConfigError(f"unsupported probe family {family!r}")
-
-
 def cmd_simulate(args) -> int:
-    with open(args.config) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    cfg = serialize.validate_experiment_config(raw)
-    probe = _probe_from_config(cfg["probe"])
-    kwargs = {}
-    if cfg["scheme"] == "husimi":
-        kwargs["directions"] = [states.BlochPoint(p, a) for p, a in cfg["directions"]]
-    if "offset_angle" in cfg:
-        kwargs["offset_angle"] = cfg["offset_angle"]
-    report = estimation.monte_carlo_qcrb(
-        probe, cfg["true_params"], cfg["scheme"], cfg["n_shots"],
-        cfg["n_trials"], cfg["seed"], **kwargs)
+    study = serialize.validate_experiment_config(serialize.read_json(args.config))
+    config_out = study.pop("output", None)
+    report = estimation.monte_carlo_qcrb(**study)
     payload = serialize.report_to_dict(report)
-    out = args.out or cfg.get("output")
+    out = args.out or config_out
     if out:
         serialize.dump_json(payload, out)
     print(f"trials: {report.n_trials} ({report.n_failed} failed), "
@@ -290,9 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("state", help="construct a probe state and write it as JSON")
-    ps.add_argument("family", choices=["basis", "coherent", "noon", "cat",
-                                       "balanced", "king", "two-mode-coherent",
-                                       "coherent+squeezed"])
+    ps.add_argument("family", choices=list(serialize.PROBE_FAMILIES))
     ps.add_argument("--j", default="1", help="spin J (e.g. 2, 1.5 or 3/2)")
     ps.add_argument("--m", type=float, default=None)
     ps.add_argument("--polar", type=float, default=0.0)
@@ -324,22 +231,19 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--out", default="husimi.csv")
     ph.set_defaults(func=cmd_husimi)
 
-    pq = sub.add_parser("qfi", help="rotation QFI matrix at a parameter point")
-    pq.add_argument("state")
-    pq.add_argument("--theta", type=float, required=True)
-    pq.add_argument("--cap-theta", type=float, required=True)
-    pq.add_argument("--cap-phi", type=float, required=True)
+    point = argparse.ArgumentParser(add_help=False)    # a state file and a rotation
+    point.add_argument("state")
+    for name in ("--theta", "--cap-theta", "--cap-phi"):
+        point.add_argument(name, type=float, required=True)
+
+    pq = sub.add_parser("qfi", parents=[point], help="rotation QFI matrix at a parameter point")
     pq.add_argument("--parametrization",
                     choices=["spherical", "cartesian", "euler-zyz"],
                     default="spherical")
     pq.add_argument("--out", default=None)
     pq.set_defaults(func=cmd_qfi)
 
-    pb = sub.add_parser("crb", help="quantum Cramer-Rao covariance bound")
-    pb.add_argument("state")
-    pb.add_argument("--theta", type=float, required=True)
-    pb.add_argument("--cap-theta", type=float, required=True)
-    pb.add_argument("--cap-phi", type=float, required=True)
+    pb = sub.add_parser("crb", parents=[point], help="quantum Cramer-Rao covariance bound")
     pb.add_argument("--n-shots", type=int, default=1)
     pb.add_argument("--out", default=None)
     pb.set_defaults(func=cmd_crb)

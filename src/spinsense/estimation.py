@@ -42,7 +42,6 @@ _OFFSET_AXES = (
     np.array([0.36, -0.48, 0.80]),
     np.array([-0.80, 0.36, 0.48]),
 )
-_DEFAULT_TRIAD = np.eye(3)
 
 
 def minimize(*args, **kwargs):
@@ -188,25 +187,21 @@ class EstimationReport:
     param_labels: tuple = ("theta", "cap_theta", "cap_phi")
 
 
-def optimal_pvm(estimate_state: SpinState, triad=None) -> MeasurementModel:
-    """Projectors onto |psi> and the (orthonormalized) states (J.v_k)|psi>,
-    completed to a resolution of the identity.
+def optimal_pvm(estimate_state: SpinState) -> MeasurementModel:
+    """Projectors onto |psi> and the (orthonormalized) states J_k|psi> for
+    k = x, y, z, completed to a resolution of the identity.
 
     For probes with vanishing mean spin and isotropic second moments the four
     states are orthogonal as built; otherwise Gram-Schmidt runs, and a
     linearly dependent family raises DegenerateInputError.
     """
-    triad = _DEFAULT_TRIAD if triad is None else np.asarray(triad, dtype=float)
-    if triad.shape != (3, 3) or np.max(np.abs(triad.T @ triad - np.eye(3))) > 1e-9:
-        raise DomainError("triad must be three orthonormal 3-vectors (columns)")
-    ops = make_operators(estimate_state.j)
     psi = estimate_state.amps
     raw = [psi]
-    for k in range(3):
-        v = ops.along(triad[:, k]) @ psi
+    for op in make_operators(estimate_state.j).vector():
+        v = op @ psi
         norm = np.linalg.norm(v)
         if norm < 1e-12:
-            raise DegenerateInputError("(J.v_k)|psi> vanishes; probe is degenerate")
+            raise DegenerateInputError("J_k|psi> vanishes; probe is degenerate")
         raw.append(v / norm)
     overlaps = max(abs(np.vdot(raw[a], raw[b]))
                    for a in range(4) for b in range(a + 1, 4))
@@ -221,7 +216,7 @@ def optimal_pvm(estimate_state: SpinState, triad=None) -> MeasurementModel:
             norm = np.linalg.norm(w)
             if norm < 1e-8:
                 raise DegenerateInputError(
-                    "(J.v_k)|psi> family is linearly dependent; cannot build "
+                    "J_k|psi> family is linearly dependent; cannot build "
                     "four orthonormal projectors")
             states.append(w / norm)
     elements = [np.outer(s, s.conj()) for s in states]
@@ -343,6 +338,9 @@ def husimi_experiment(probe: SpinState, directions) -> RotationExperiment:
 
 
 _GRID_SHAPE = (16, 8, 16)
+# sparse binary designs have rugged likelihoods; the stage tables are cheap,
+# so monte_carlo_qcrb seeds a Husimi study's search from a finer grid
+_HUSIMI_GRID_SHAPE = (24, 16, 24)
 _ANCHOR_RADIUS = 0.35
 _TABLE_CHUNK = 1024      # candidates rotated at once; bounds the table's scratch memory
 # restarts at 0.12 and 0.25 rad along +-x, +-y and +-z of the incumbent
@@ -632,8 +630,8 @@ def _residuals(estimates, true_params: RotationParams) -> np.ndarray:
 
 def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
                      n_shots: int, n_trials: int, seed: int,
-                     directions=None, offset_angle: float = _DEFAULT_OFFSET_ANGLE,
-                     grid_shape=None) -> EstimationReport:
+                     directions=None,
+                     offset_angle: float = _DEFAULT_OFFSET_ANGLE) -> EstimationReport:
     """Repeated simulate-and-estimate rounds against the quantum bound.
 
     The QFI at ``true_params`` must be invertible (otherwise
@@ -641,8 +639,7 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
     draw independent multinomial data with per-trial seeds (seed, trial) and
     are estimator-failure tolerant up to 5%.  The candidate table of
     ml_estimate is built once for all trials: for "optimal_pvm" the lattice
-    anchored at ``true_params``, and for "husimi" the global grid of ``grid_shape``
-    (default (24, 16, 24)).
+    anchored at ``true_params``, and for "husimi" a global (24, 16, 24) grid.
     """
     if n_trials < 2:
         raise DomainError("need at least 2 trials")
@@ -658,14 +655,11 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
         if directions is None:
             raise DomainError("husimi scheme needs sampling directions")
         experiment = husimi_experiment(probe, directions)
-        if grid_shape is None:
-            # sparse binary designs have rugged likelihoods; the stage tables
-            # are cheap, so seed the search from a finer grid
-            grid_shape = (24, 16, 24)
     else:
         raise DomainError(f"unknown scheme {scheme!r}")
 
-    cache = grid_probability_table(experiment, grid_shape, anchor)
+    # with an anchor the table ignores its shape
+    cache = grid_probability_table(experiment, _HUSIMI_GRID_SHAPE, anchor)
     estimates = []
     n_failed = 0
     for trial in range(n_trials):

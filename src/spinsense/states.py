@@ -28,7 +28,11 @@ class BlochPoint:
     azimuth: float
 
     def __post_init__(self):
-        pol, az = float(self.polar), float(self.azimuth)
+        try:
+            pol, az = float(self.polar), float(self.azimuth)
+        except (TypeError, ValueError):
+            raise DomainError(f"polar and azimuth must be numbers, got {self.polar!r} "
+                              f"and {self.azimuth!r}") from None
         if not (-1e-12 <= pol <= math.pi + 1e-12):
             raise DomainError(f"polar angle must lie in [0, pi], got {pol}")
         if not math.isfinite(az):

@@ -32,7 +32,7 @@ class HalfInt:
     twice_j: int
 
     def __post_init__(self):
-        if not isinstance(self.twice_j, (int, np.integer)):
+        if isinstance(self.twice_j, bool) or not isinstance(self.twice_j, (int, np.integer)):
             raise DomainError(f"twice_j must be an integer, got {self.twice_j!r}")
         if self.twice_j < 0:
             raise DomainError(f"twice_j must be non-negative, got {self.twice_j}")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shlex
 import shutil
 import subprocess
@@ -117,6 +118,20 @@ class TestConstellationCommand:
             # amplitudes beyond mode a's cutoff of 42 photons (mode b's is 122)
             if b["N"] <= 122:
                 assert b["n_cut"] == max(b["N"] - 42, 0)
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"twice_j": 4.9, "amps": [[1.0, 0.0]] + [[0.0, 0.0]] * 4}),
+        json.dumps({"twice_j": True, "amps": [[1.0, 0.0], [0.0, 0.0]]}),
+        json.dumps([[1.0, 0.0]]),
+        "{",
+        None,
+    ], ids=["twice_j_not_an_integer", "twice_j_a_boolean", "not_an_object",
+            "not_json", "missing_file"])
+    def test_malformed_state_file_exit_2(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        if text is not None:
+            path.write_text(text)
+        assert run_cli(["constellation", path, "--out", tmp_path / "x.json"]) == 2
 
     def test_malformed_subspaces_exit_2(self, tmp_path):
         state_file = tmp_path / "tm.json"
@@ -253,11 +268,29 @@ class TestSimulateCommand:
         dict(VALID_CONFIG, probe={"family": "king", "twice_j": 6.7}),
         dict(VALID_CONFIG, probe={"family": "king", "j": "abc"}),
         dict(VALID_CONFIG, probe={"family": "basis", "twice_j": 6, "m": "abc"}),
+        dict(VALID_CONFIG, probe={"family": "coherent", "twice_j": 6, "polar": "abc",
+                                  "azimuth": 0.1}),
+        dict(VALID_CONFIG, probe={"family": "cat", "twice_j": 6, "z": "ab"}),
+        dict(VALID_CONFIG, probe={"family": "cat", "twice_j": 6, "z": 0.5}),
+        dict(VALID_CONFIG, n_shots=1500.7),
+        dict(VALID_CONFIG, n_trials=3.9),
+        dict(VALID_CONFIG, seed=42.9),
+        dict(VALID_CONFIG, probe={"family": "king", "twice_j": True}),
+        dict(VALID_CONFIG, seed=-1),
+        dict(VALID_CONFIG, n_shots=1e30),
+        dict(VALID_CONFIG, true_params=[0.8, 1.1, 2.3]),
+        dict(VALID_CONFIG, probe={"file": ["state.json"]}),
+        dict(VALID_CONFIG, output=None),
     ], ids=["missing_keys", "direction_without_azimuth", "probe_without_j",
             "offset_angle_not_a_number", "basis_without_m", "twice_j_not_a_number",
             "twice_j_not_an_integer",
-            "j_not_a_number", "m_not_a_number"])
-    def test_schema_violation_exit_2(self, tmp_path, config):
+            "j_not_a_number", "m_not_a_number", "coherent_polar_not_a_number",
+            "cat_z_not_a_pair_string", "cat_z_not_a_pair_number", "n_shots_not_an_integer",
+            "n_trials_not_an_integer", "seed_not_an_integer", "twice_j_a_boolean",
+            "seed_negative", "n_shots_beyond_int64", "true_params_as_a_list",
+            "probe_file_not_a_name", "output_not_a_name"])
+    def test_schema_violation_exit_2(self, tmp_path, monkeypatch, config):
+        monkeypatch.chdir(tmp_path)     # nothing a bad config might write lands elsewhere
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
         assert run_cli(["simulate", path]) == 2
@@ -301,6 +334,18 @@ def test_readme_tour(tmp_path, monkeypatch):
     assert tour
     for argv in tour:
         assert main(argv) == 0, argv
+
+
+def test_readme_lists_every_probe_family():
+    # the README's probe-family table names the same families and keys as
+    # serialize.PROBE_FAMILIES, in the same order
+    from spinsense.serialize import PROBE_FAMILIES
+    text = (ROOT / "README.md").read_text().split("Config schema:", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in text.splitlines() if line.startswith("| `")]
+    documented = {name.strip().strip("`"): set(re.findall(r"`(\w+)`", keys))
+                  for name, keys in rows}
+    assert list(documented) == list(PROBE_FAMILIES)
+    assert documented == {name: set(keys) for name, (_, keys) in PROBE_FAMILIES.items()}
 
 
 def test_console_entry_point():

@@ -42,6 +42,12 @@ class TestBlochPoint:
         p = BlochPoint(1.0, -1.7)
         assert 0 <= p.azimuth < 2 * math.pi
 
+    @pytest.mark.parametrize("polar, azimuth", [("abc", 0.0), (1.0, "abc"), (None, 0.0),
+                                                (1.0, [0.5])])
+    def test_non_numbers_raise_domain_error(self, polar, azimuth):
+        with pytest.raises(DomainError):
+            BlochPoint(polar, azimuth)
+
     def test_unit_vector_round_trip(self):
         p = BlochPoint(0.7, 2.1)
         q = BlochPoint.from_vector(p.unit_vector)

@@ -28,6 +28,11 @@ class TestHalfInt:
         with pytest.raises(DomainError):
             HalfInt(-1)
 
+    @pytest.mark.parametrize("twice_j", [True, 4.0, "4"])
+    def test_rejects_non_integers(self, twice_j):
+        with pytest.raises(DomainError):
+            HalfInt(twice_j)
+
 
 class TestOperators:
     def test_spin_half_is_half_pauli(self):
