@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 usage or config error, 3 mathematical infeasibility
 
 import argparse
 import csv
+import functools
 import math
 import sys
 
@@ -191,6 +192,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache       # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinsense",

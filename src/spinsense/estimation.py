@@ -3,12 +3,15 @@ Monte Carlo studies of Cramer-Rao saturation.
 
 The "optimal_pvm" experiment measures with projector sets built at two
 reference points offset from the supplied reference by a small calibration
-rotation (default 0.1 rad about two fixed skew axes), splitting the shot
-budget evenly.  A single projector set cannot distinguish a deviation from
-its mirror image (the side-outcome probabilities are even in the deviation
-to leading order), while the pair keeps the per-shot Fisher information
-within about a percent of the quantum limit and suppresses the mirror peak
-by hundreds of nats at realistic shot counts.
+rotation (by default min(0.1, 1/(2J)) rad, about two fixed skew axes),
+splitting the shot budget evenly.  A single projector set cannot distinguish
+a deviation from its mirror image (the side-outcome probabilities are even
+in the deviation to leading order), while the pair keeps the per-shot Fisher
+information within about five percent of the quantum limit and suppresses
+the mirror peak by hundreds of nats at realistic shot counts.  The offset
+shrinks with J because a measurement built at the offset reference stays
+near optimal at the true rotation only while the offset is small against
+1/J: a fixed 0.1 rad loses a factor 2 at 2J = 40.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import (DegenerateInputError, DomainError, NonIdentifiableError,
                      UnreliableRunError)
-from .metrology import (PARAM_LABELS_SPHERICAL, QfiMatrix, _finish_fi_matrix, classical_fi,
+from .metrology import (_PROB_FLOOR, PARAM_LABELS_SPHERICAL, QfiMatrix, _finish_fi_matrix,
                         crb, qfi_rotation_matrix)
 from .states import SpinState, coherent_state
 from .su2 import (TWO_PI, HalfInt, RotationParams, compose, generator_frame,
@@ -96,8 +99,9 @@ class BornKernel:
         return (a.real ** 2 + a.imag ** 2) @ self._seg_t
 
     def loglik(self, counts, psi):
-        """sum_x counts_x log p_x over the stacked outcomes, per state in psi."""
-        return np.log(np.maximum(self.probabilities(psi), 1e-300)) @ counts
+        """sum_x counts_x log p_x over the stacked outcomes, per state in psi;
+        ``counts`` is one count vector or one per state."""
+        return (np.log(np.maximum(self.probabilities(psi), 1e-300)) * counts).sum(axis=-1)
 
     def derivatives(self, psi, second: bool = False):
         """p (..., n), dp (3, ..., n) and, if ``second``, d2p (3, 3, ..., n)
@@ -282,12 +286,24 @@ class RotationExperiment:
         return [q / q.sum() for q in np.split(p, self.kernel.splits)]
 
     def sample(self, true_params: RotationParams, n_shots: int, seed) -> list:
+        """One ShotRecord per stage; stage s draws with seed (seed, s)."""
+        counts = np.split(self.sample_counts(true_params, n_shots, [seed])[0], self.kernel.splits)
+        return [ShotRecord(counts=c, n_shots=n_s, seed=(seed, s), labels=model.labels)
+                for s, (model, n_s, c) in enumerate(
+                    zip(self.stages, _split_budget(n_shots, self.weights), counts))]
+
+    def sample_counts(self, true_params: RotationParams, n_shots: int, seeds) -> np.ndarray:
+        """The stages' counts, concatenated, one row per seed of ``seeds``:
+        each stage draws as simulate_shots does with seed (seed, s), from
+        probabilities computed once for all rows."""
         true_state = SpinState(self._j, self.rotated_amps(true_params))
         shots = _split_budget(n_shots, self.weights)
-        records = []
-        for s, (model, n_s) in enumerate(zip(self.stages, shots)):
-            records.append(simulate_shots(model, true_state, n_s, (seed, s)))
-        return records
+        if min(shots) < 1:
+            raise DomainError("n_shots must be positive")
+        probs = [p / p.sum() for p in (m.probabilities(true_state) for m in self.stages)]
+        return np.array([np.concatenate([np.random.default_rng((seed, s)).multinomial(n_s, p)
+                                         for s, (n_s, p) in enumerate(zip(shots, probs))])
+                         for seed in seeds], dtype=np.int64)
 
     def loglik(self, counts_list, params: RotationParams) -> float:
         total = 0.0
@@ -299,12 +315,24 @@ class RotationExperiment:
     def fisher_information(self, params: RotationParams) -> QfiMatrix:
         """Per-shot classical FI of the stage mixture at ``params``, using
         exact Born-rule derivatives dp_x/dk = 2 Im <psi|Pi_x (J.g_k)|psi>."""
-        p, dp = self.kernel.derivatives(self.rotated_amps(params))
-        dp = generator_frame(params).matrix().T @ dp
-        splits = self.kernel.splits
-        f = sum(weight * classical_fi(q / q.sum(), d).q for weight, q, d in
-                zip(self.weights, np.split(p, splits), np.split(dp, splits, axis=1)))
-        return _finish_fi_matrix(f, PARAM_LABELS_SPHERICAL)
+        return _finish_fi_matrix(self._fisher_stack([params])[0], PARAM_LABELS_SPHERICAL)
+
+    def _fisher_stack(self, params_list) -> np.ndarray:
+        """fisher_information's matrices (n, 3, 3) at each of ``params_list``,
+        before _finish_fi_matrix; as in classical_fi, outcomes of probability
+        at or below _PROB_FLOOR carry no information."""
+        psi = omega_rotate(self._j, np.array([q.omega for q in params_list]), self.probe.amps)
+        p, dp = self.kernel.derivatives(psi)
+        frames = np.array([generator_frame(q).matrix().T for q in params_list])
+        dp = np.einsum("nkl,lnx->knx", frames, dp)
+        f = 0
+        for weight, q, d in zip(self.weights, np.split(p, self.kernel.splits, axis=-1),
+                                np.split(dp, self.kernel.splits, axis=-1)):
+            q = q / q.sum(axis=-1, keepdims=True)
+            keep = q > _PROB_FLOOR
+            f = f + weight * np.where(keep, d[:, None] * d[None] / np.where(keep, q, 1.0),
+                                      0.0).sum(axis=-1)
+        return np.moveaxis(f, -1, 0)
 
 
 def _split_budget(n_shots: int, weights) -> list:
@@ -314,9 +342,12 @@ def _split_budget(n_shots: int, weights) -> list:
 
 
 def optimal_pvm_experiment(probe: SpinState, reference: RotationParams,
-                           offset_angle: float = _DEFAULT_OFFSET_ANGLE) -> RotationExperiment:
+                           offset_angle: float = None) -> RotationExperiment:
     """Two optimal-PVM stages at references offset from ``reference`` by
-    ``offset_angle`` about two fixed skew axes (see module docstring)."""
+    ``offset_angle``, by default min(0.1, 1/(2J)), about two fixed skew axes
+    (see module docstring)."""
+    if offset_angle is None:
+        offset_angle = min(_DEFAULT_OFFSET_ANGLE, 1.0 / max(probe.j.twice_j, 1))
     stages = []
     for axis in _OFFSET_AXES:
         u = axis / np.linalg.norm(axis)
@@ -343,6 +374,9 @@ _GRID_SHAPE = (16, 8, 16)
 _HUSIMI_GRID_SHAPE = (24, 16, 24)
 _ANCHOR_RADIUS = 0.35
 _TABLE_CHUNK = 1024      # candidates rotated at once; bounds the table's scratch memory
+# entries of psi @ _ops_f, shape (13, rows, K), in one fit stack of at most
+# twelve rows per trial; bounds a study's trials per stack
+_STACK_CHUNK = 1 << 16
 # restarts at 0.12 and 0.25 rad along +-x, +-y and +-z of the incumbent
 _RESTARTS = np.array([sign * step * axis for step in (0.12, 0.25) for axis in np.eye(3)
                       for sign in (-1.0, 1.0)])
@@ -414,76 +448,119 @@ def ml_estimate(records, experiment: RotationExperiment, grid_cache=None,
 
     A flat likelihood, a singular information matrix at the optimum, or a
     bound sigma above 0.35 rad there raises NonIdentifiableError.
+
+    monte_carlo_qcrb fits many trials through the same code at once, one
+    stack of (trial, start) rows per chunk of trials, and each trial gets
+    the estimate it gets here alone.
     """
     counts_list = [np.asarray(getattr(r, "counts", r), dtype=float) for r in records]
     if len(counts_list) != len(experiment.stages):
         raise DomainError("need one record per measurement stage")
     if grid_cache is None:
         grid_cache = grid_probability_table(experiment, anchor=anchor)
-    cand, per_stage = grid_cache
-    scores = sum(np.log(np.maximum(table, 1e-300)) @ c
-                 for c, table in zip(counts_list, per_stage))
-    if float(scores.max() - scores.min()) < 1e-12:
-        raise NonIdentifiableError("likelihood is flat across the parameter grid")
+    (fit,) = _fit_trials(experiment, np.concatenate(counts_list)[None], grid_cache, anchor)
+    if isinstance(fit, NonIdentifiableError):
+        raise fit
+    return fit
 
+
+def _fit_trials(experiment: RotationExperiment, counts, grid_cache, anchor):
+    """ml_estimate of each trial in the rows of ``counts`` (n, outcomes),
+    the stages' counts concatenated.  Every trial's starts go through one
+    _newton_fit stack of (trial, start) rows, and without an anchor every
+    trial's restarts through a second; the Fisher matrices at the optima
+    are one stack.  Returns one entry per trial: its RotationParams, or the
+    NonIdentifiableError that rejects it, so that a failing trial fails
+    alone."""
+    kernel = experiment.kernel
+    cand, per_stage = grid_cache
+    log_tables = [np.log(np.maximum(table, 1e-300)) for table in per_stage]
     if anchor is not None:
         base_psi, base_rot = experiment.rotated_amps(anchor), so3_matrix(anchor)
         n_refine = 4                      # the local problem is well seeded
     else:
         base_psi, base_rot = experiment.probe.amps, np.eye(3)
         n_refine = 8
-    # starts: the best cells at least 0.1 apart, then widely spread backups
-    # at least 0.35 from every start
-    ranked = cand.T[:, np.argsort(scores)[::-1]]          # (3, n), best first
-    starts = []
-    for n_new, spacing in ((n_refine, 0.1), (4, 0.35)):
-        new = _spread(ranked[:, :256], starts, n_new, spacing)
-        if len(new) < n_new:               # the best cells nearly always suffice
-            new = _spread(ranked, starts, n_new, spacing)
-        starts += new
+    fits, live, stacks = [None] * len(counts), [], []
+    for t, trial_counts in enumerate(counts):
+        scores = sum(table @ c for c, table in
+                     zip(np.split(trial_counts, kernel.splits), log_tables))
+        if float(scores.max() - scores.min()) < 1e-12:
+            fits[t] = NonIdentifiableError("likelihood is flat across the parameter grid")
+            continue
+        # starts: the best cells at least 0.1 apart, then widely spread
+        # backups at least 0.35 from every start
+        ranked = cand.T[:, np.argsort(scores)[::-1]]          # (3, n), best first
+        starts = []
+        for n_new, spacing in ((n_refine, 0.1), (4, 0.35)):
+            new = _spread(ranked[:, :256], starts, n_new, spacing)
+            if len(new) < n_new:           # the best cells nearly always suffice
+                new = _spread(ranked, starts, n_new, spacing)
+            starts += new
+        live.append(t)
+        stacks.append(np.array(starts))
+    if not live:
+        return fits
 
     def to_params(w):
         params = RotationParams.from_omega(w)
         return params if anchor is None else compose(anchor, params)
 
-    kernel = experiment.kernel
-    counts = np.concatenate(counts_list)
-    shots = np.concatenate([np.full(len(c), c.sum()) for c in counts_list])
+    # each outcome's stage total, for the expected information of a
+    # Fisher-scoring step
+    shots = np.hstack([np.broadcast_to(c.sum(axis=1, keepdims=True), c.shape)
+                       for c in np.split(counts, kernel.splits, axis=1)])
 
-    def refine(w0):
+    def refine(w0, rows):
         """-loglik and SO(3) matrix at the optimum each start of the stack w0
-        reaches; Nelder-Mead refines the starts that Newton leaves."""
-        vals, rots = _newton_fit(kernel, counts, shots, w0, base_psi, base_rot)
+        reaches on the counts of trial rows[i]; Nelder-Mead refines the starts
+        that Newton leaves, each on its own trial's counts."""
+        vals, rots = _newton_fit(kernel, counts[rows], shots[rows], w0, base_psi, base_rot)
         for i in np.flatnonzero(np.isnan(vals)):
+            counts_list = np.split(counts[rows[i]], kernel.splits)
             res = minimize(lambda w: -experiment.loglik(counts_list, to_params(w)), w0[i],
                            method="Nelder-Mead",
                            options={"xatol": 1e-7, "fatol": 1e-7, "maxiter": 600})
             vals[i], rots[i] = res.fun, so3_matrix(to_params(res.x))
         return vals, rots
 
-    vals, rots = refine(np.array(starts))
-    best_val, best_rot = vals.min(), rots[np.argmin(vals)]
-    if anchor is None:      # base_rot is the identity: the chart point is omega
-        vals, rots = refine(RotationParams.from_so3(best_rot).omega + _RESTARTS)
-        if vals.min() < best_val - 1e-9:
-            best_rot = rots[np.argmin(vals)]
-    estimate = RotationParams.from_so3(best_rot)
+    def best_per_trial(vals, rots, n_rows):
+        cut = np.cumsum(n_rows)[:-1]
+        return [(v.min(), r[np.argmin(v)])
+                for v, r in zip(np.split(vals, cut), np.split(rots, cut))]
 
-    fi = experiment.fisher_information(estimate)
+    n_rows = [len(w0) for w0 in stacks]
+    best = best_per_trial(*refine(np.vstack(stacks), np.repeat(live, n_rows)), n_rows)
+    if anchor is None:      # base_rot is the identity: the chart point is omega
+        n_rows = [len(_RESTARTS)] * len(live)
+        w0 = np.vstack([RotationParams.from_so3(rot).omega + _RESTARTS for _, rot in best])
+        restarts = best_per_trial(*refine(w0, np.repeat(live, n_rows)), n_rows)
+        best = [again if again[0] < val - 1e-9 else (val, rot)
+                for (val, rot), again in zip(best, restarts)]
+    estimates = [RotationParams.from_so3(rot) for _, rot in best]
+
+    for t, estimate, f in zip(live, estimates, experiment._fisher_stack(estimates)):
+        fits[t] = _identifiable(estimate, _finish_fi_matrix(f, PARAM_LABELS_SPHERICAL),
+                                float(counts[t].sum()))
+    return fits
+
+
+def _identifiable(estimate, fi, total_shots):
+    """``estimate``, or the NonIdentifiableError that a singular information
+    matrix ``fi`` at it, or a bound sigma above 0.35 rad, calls for."""
     if fi.rank < 3:
-        raise NonIdentifiableError(
+        return NonIdentifiableError(
             "information matrix at the optimum is rank "
             f"{fi.rank}; parameters are not jointly identifiable",
             null_directions=fi.null_basis)
     # a technically full-rank matrix can still leave a parameter with
     # macroscopic uncertainty (coordinate singularity at theta ~ 0: the
     # axis information does not grow with the shot count)
-    total_shots = float(sum(c.sum() for c in counts_list))
     bound = np.linalg.pinv(fi.q) / max(total_shots, 1.0)
     sigmas = np.sqrt(np.clip(np.diag(bound), 0.0, None))
     if np.any(sigmas > _MIN_RESOLUTION):
         _, vecs = np.linalg.eigh(fi.q)
-        raise NonIdentifiableError(
+        return NonIdentifiableError(
             "parameters "
             + ", ".join(l for l, s in zip(PARAM_LABELS_SPHERICAL, sigmas) if s > _MIN_RESOLUTION)
             + f" are unresolved at the data's information level "
@@ -513,15 +590,18 @@ def _newton_fit(kernel: BornKernel, counts, shots, w0, base_psi, base_rot):
     """Newton ascent of sum_x counts_x log p_x from each start of the stack
     w0 (m, 3), in the moving local chart psi <- exp(-i J.delta) psi, from
     psi = exp(-i J.w0) base_psi, whose rotation has SO(3) matrix
-    so3(w0) base_rot.  ``shots`` holds each outcome's stage total, for the
-    expected information of a Fisher-scoring step.  Starts iterate together
-    but independently: each halves its own step and stops once its step is
-    below _NEWTON_TOL.  Returns -loglik (m,) and the SO(3) matrices
-    (m, 3, 3) at the optima; a start that does not converge logs why at
-    debug level and gets -loglik nan."""
+    so3(w0) base_rot.  ``counts`` (m, outcomes) holds each row's own counts,
+    so rows of one stack may belong to different trials; ``shots``, each
+    outcome's stage total for the expected information of a Fisher-scoring
+    step, broadcasts against it.  Rows iterate together but independently:
+    each halves its own step and stops once its step is below _NEWTON_TOL.
+    Returns -loglik (m,) and the SO(3) matrices (m, 3, 3) at the optima; a
+    start that does not converge logs why at debug level and gets -loglik
+    nan."""
     neg_ll, rots = np.full(len(w0), np.nan), np.full((len(w0), 3, 3), np.nan)
     why = {}
     live = np.arange(len(w0))                   # the starts still iterating
+    shots = np.broadcast_to(shots, counts.shape)
     psi = omega_rotate(kernel.j, w0, base_psi)
     rot = omega_so3(w0) @ base_rot
     value = kernel.loglik(counts, psi)
@@ -554,7 +634,7 @@ def _newton_fit(kernel: BornKernel, counts, shots, w0, base_psi, base_rot):
             if not pending.size:
                 break
             trial = omega_rotate(kernel.j, step[pending], psi[pending])
-            trial_value = kernel.loglik(counts, trial)
+            trial_value = kernel.loglik(counts[pending], trial)
             ok = trial_value >= value[pending] - 1e-12 * np.abs(value[pending])  # rounding
             took = pending[ok]
             psi[took], value[took] = trial[ok], trial_value[ok]
@@ -565,6 +645,7 @@ def _newton_fit(kernel: BornKernel, counts, shots, w0, base_psi, base_rot):
             why[i] = f"log-likelihood still drops after {_MAX_HALVINGS} step halvings"
         moving[pending] = False
         live, psi, value, rot = live[moving], psi[moving], value[moving], rot[moving]
+        counts, shots = counts[moving], shots[moving]
         if not live.size:
             break
     for i in live:
@@ -631,15 +712,19 @@ def _residuals(estimates, true_params: RotationParams) -> np.ndarray:
 def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
                      n_shots: int, n_trials: int, seed: int,
                      directions=None,
-                     offset_angle: float = _DEFAULT_OFFSET_ANGLE) -> EstimationReport:
+                     offset_angle: float = None) -> EstimationReport:
     """Repeated simulate-and-estimate rounds against the quantum bound.
 
     The QFI at ``true_params`` must be invertible (otherwise
     SingularInformationError propagates from the bound computation).  Trials
-    draw independent multinomial data with per-trial seeds (seed, trial) and
-    are estimator-failure tolerant up to 5%.  The candidate table of
-    ml_estimate is built once for all trials: for "optimal_pvm" the lattice
-    anchored at ``true_params``, and for "husimi" a global (24, 16, 24) grid.
+    draw independent multinomial data with per-trial seeds (seed, trial), all
+    drawn first, and are estimator-failure tolerant up to 5%.  The candidate
+    table of ml_estimate is built once for all trials: for "optimal_pvm" the
+    lattice anchored at ``true_params``, and for "husimi" a global
+    (24, 16, 24) grid.  The trials are then fitted in chunks, each chunk
+    one stack of (trial, start) rows that gives every trial the estimate
+    ml_estimate gives it alone; a trial that ml_estimate rejects counts in
+    n_failed by itself.  ``offset_angle`` defaults to min(0.1, 1/(2J)).
     """
     if n_trials < 2:
         raise DomainError("need at least 2 trials")
@@ -660,15 +745,14 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
 
     # with an anchor the table ignores its shape
     cache = grid_probability_table(experiment, _HUSIMI_GRID_SHAPE, anchor)
-    estimates = []
-    n_failed = 0
-    for trial in range(n_trials):
-        records = experiment.sample(true_params, n_shots, (seed, trial))
-        try:
-            estimates.append(ml_estimate(records, experiment, grid_cache=cache,
-                                         anchor=anchor))
-        except NonIdentifiableError:
-            n_failed += 1
+    counts = experiment.sample_counts(true_params, n_shots,
+                                      [(seed, trial) for trial in range(n_trials)]).astype(float)
+    n_ops, _, width = experiment.kernel._ops_f.shape
+    chunk = max(1, _STACK_CHUNK // (n_ops * len(_RESTARTS) * width))
+    estimates = [fit for lo in range(0, n_trials, chunk)
+                 for fit in _fit_trials(experiment, counts[lo:lo + chunk], cache, anchor)
+                 if isinstance(fit, RotationParams)]
+    n_failed = n_trials - len(estimates)
     if n_failed > 0.05 * n_trials:
         raise UnreliableRunError(
             f"{n_failed}/{n_trials} trials failed to produce an estimate",

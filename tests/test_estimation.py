@@ -268,17 +268,38 @@ PROTOCOLS = {
 }
 
 
-def _record_calls(monkeypatch, name):
-    """Patch estimation.<name> to record the arguments of every call."""
+def _record_calls(monkeypatch, name, results=None):
+    """Patch estimation.<name> to record the arguments of every call, and
+    its return values in ``results`` if given."""
     calls = []
     fn = getattr(estimation, name)
 
     def recording(*args, **kwargs):
         calls.append(args)
-        return fn(*args, **kwargs)
+        out = fn(*args, **kwargs)
+        if results is not None:
+            results.append(out)
+        return out
 
     monkeypatch.setattr(estimation, name, recording)
     return calls
+
+
+def _stacked(trials):
+    """The trials' counts as _fit_trials takes them: one row per trial, the
+    stages' counts concatenated."""
+    return np.array([np.concatenate([r.counts for r in records]) for records in trials],
+                    dtype=float)
+
+
+def _table(exp, kwargs):
+    return kwargs.get("grid_cache") or grid_probability_table(exp, anchor=kwargs.get("anchor"))
+
+
+def _max_angle_diff(a, b):
+    d = np.asarray(a) - np.asarray(b)
+    d[..., 2] = (d[..., 2] + math.pi) % (2.0 * math.pi) - math.pi
+    return float(np.max(np.abs(d)))
 
 
 class TestNewtonRefinement:
@@ -309,17 +330,20 @@ class TestNewtonRefinement:
 
     @pytest.mark.parametrize("protocol", ["king_j3", "gps_j2"])
     def test_starts_refine_independently(self, protocol, monkeypatch):
-        # each start of a stack reaches what it reaches when refined alone
+        # each row of a stack, whichever trial it belongs to, reaches what it
+        # reaches when refined alone on its own counts
         newton_fit = estimation._newton_fit
         fits = _record_calls(monkeypatch, "_newton_fit")
-        exp, kwargs, trials = PROTOCOLS[protocol](1)
-        ml_estimate(trials[0], exp, **kwargs)
+        exp, kwargs, trials = PROTOCOLS[protocol](3)
+        estimation._fit_trials(exp, _stacked(trials), _table(exp, kwargs), kwargs.get("anchor"))
         assert len(fits) == (1 if protocol == "king_j3" else 2)   # grid starts, restarts
         for kernel, counts, shots, w0, base_psi, base_rot in fits:
             vals, rots = newton_fit(kernel, counts, shots, w0, base_psi, base_rot)
-            assert len(w0) > 1 and not np.any(np.isnan(vals))
+            assert len(np.unique(counts, axis=0)) == len(trials)   # rows of every trial
+            assert not np.any(np.isnan(vals))
             for i in range(len(w0)):
-                val, rot = newton_fit(kernel, counts, shots, w0[i:i + 1], base_psi, base_rot)
+                val, rot = newton_fit(kernel, counts[i:i + 1], shots[i:i + 1], w0[i:i + 1],
+                                      base_psi, base_rot)
                 assert abs(val[0] - vals[i]) <= 1e-12 * abs(vals[i])
                 assert np.max(np.abs(rot[0] - rots[i])) < 1e-10
 
@@ -336,6 +360,84 @@ class TestNewtonRefinement:
             assert r.levelno == logging.DEBUG
             assert "no convergence in 0 iterations" in r.getMessage()
             assert "w0 = [" in r.getMessage()
+
+
+class TestTrialStack:
+    """monte_carlo_qcrb fits its trials in chunks, each one stack of
+    (trial, start) rows; every trial must come out as ml_estimate fits it."""
+
+    @staticmethod
+    def _study(protocol, n_trials):
+        """monte_carlo_qcrb's arguments for the protocol's trials."""
+        if protocol == "king_j3":
+            return dict(probe=king_state(HalfInt(6)), true_params=RotationParams(0.8, 1.1, 2.3),
+                        scheme="optimal_pvm", n_shots=10_000, n_trials=n_trials, seed=7)
+        return dict(probe=SpinState.from_amplitudes(HalfInt(4), DEMO_J2_AMPS),
+                    true_params=RotationParams(0.9, 1.2, 0.7), scheme="husimi",
+                    n_shots=400_000, n_trials=n_trials, seed=21, directions=GPS_J2_DIRECTIONS)
+
+    @pytest.mark.parametrize("protocol", ["king_j3", "gps_j2"])
+    def test_study_matches_one_fit_per_trial(self, protocol, monkeypatch):
+        exp, kwargs, trials = PROTOCOLS[protocol](7)
+        alone = [ml_estimate(r, exp, **kwargs).as_array() for r in trials]
+        # three trials per stack, so the seven trials cross two chunk boundaries
+        width = exp.kernel._ops_f.shape[-1]
+        monkeypatch.setattr(estimation, "_STACK_CHUNK", 3 * 13 * 12 * width)
+        fits = []
+        calls = _record_calls(monkeypatch, "_fit_trials", fits)
+        monte_carlo_qcrb(**self._study(protocol, 7))
+        assert [len(c[1]) for c in calls] == [3, 3, 1]
+        stacked = np.array([f.as_array() for chunk in fits for f in chunk])
+        assert _max_angle_diff(stacked, alone) < 1e-9
+
+    @pytest.mark.parametrize("protocol", ["king_j3", "gps_j2"])
+    def test_sampled_counts_match_per_trial_draws(self, protocol, monkeypatch):
+        calls = _record_calls(monkeypatch, "_fit_trials")
+        study = self._study(protocol, 4)
+        monte_carlo_qcrb(**study)
+        drawn = np.vstack([c[1] for c in calls])
+        exp, seed, truth = calls[0][0], study["seed"], study["true_params"]
+        true_state = SpinState(exp.probe.j, exp.rotated_amps(truth))
+        for t, row in enumerate(drawn):
+            records = exp.sample(truth, study["n_shots"], (seed, t))
+            assert np.array_equal(row, np.concatenate([r.counts for r in records]))
+            # the draw of every stage as the stages drew one trial at a time
+            direct = [simulate_shots(m, true_state, r.n_shots, ((seed, t), s)).counts
+                      for s, (m, r) in enumerate(zip(exp.stages, records))]
+            assert np.array_equal(row, np.concatenate(direct))
+
+    def test_flat_trial_fails_alone(self, king3, monkeypatch):
+        exp, kwargs, trials = _king_j3_trials(king3, 4)
+        table, anchor = _table(exp, kwargs), kwargs["anchor"]
+        counts = _stacked(trials)
+        good = estimation._fit_trials(exp, counts, table, anchor)
+        mixed = estimation._fit_trials(exp, np.insert(counts, 2, 0.0, axis=0), table, anchor)
+        assert isinstance(mixed[2], NonIdentifiableError)
+        assert "flat" in str(mixed[2])
+        kept = [f.as_array() for f in mixed[:2] + mixed[3:]]
+        assert _max_angle_diff(kept, [f.as_array() for f in good]) < 1e-12
+        # a study counts such a trial in n_failed by itself
+        draw = estimation.RotationExperiment.sample_counts
+
+        def one_flat(self, *args):
+            counts = draw(self, *args)
+            counts[1] = 0
+            return counts
+
+        monkeypatch.setattr(estimation.RotationExperiment, "sample_counts", one_flat)
+        rep = monte_carlo_qcrb(king3, RotationParams(0.8, 1.1, 2.3), "optimal_pvm",
+                               10_000, 20, 7)
+        assert rep.n_failed == 1
+
+    def test_nelder_mead_rows_use_their_own_counts(self, king3, monkeypatch):
+        monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
+        exp, kwargs, trials = _king_j3_trials(king3, 3)
+        alone = [ml_estimate(r, exp, **kwargs).as_array() for r in trials]
+        calls = _record_calls(monkeypatch, "minimize")
+        fits = estimation._fit_trials(exp, _stacked(trials), _table(exp, kwargs),
+                                      kwargs["anchor"])
+        assert len(calls) > len(trials)
+        assert _max_angle_diff([f.as_array() for f in fits], alone) < 1e-9
 
 
 class TestEstimatorStats:
@@ -444,6 +546,23 @@ class TestFisherSaturation:
         tr_f = np.trace(np.linalg.inv(f.q))
         tr_q = np.trace(np.linalg.inv(q.q))
         assert tr_f <= 1.02 * tr_q
+
+    @pytest.mark.parametrize("twice_j", [8, 20, 40, 60, 120])
+    def test_default_offset_stays_optimal_as_j_grows(self, twice_j):
+        # the default calibration offset min(0.1, 1/(2J)) keeps the
+        # experiment's bound within 10% of the quantum one; a fixed 0.1 rad
+        # offset loses 17% at 2J = 20 and a factor 16 at 2J = 120
+        probe = king_state(HalfInt(twice_j))
+        p = RotationParams(0.8, 1.1, 2.3)
+        tr_q = np.trace(np.linalg.inv(qfi_rotation_matrix(probe, p).q))
+
+        def ratio(**offset):
+            f = optimal_pvm_experiment(probe, p, **offset).fisher_information(p)
+            return np.trace(np.linalg.inv(f.q)) / tr_q
+
+        assert ratio() <= 1.1
+        if twice_j >= 20:       # an explicit offset is still honoured
+            assert ratio(offset_angle=0.1) > 1.1
 
     def test_husimi_fi_bounded_by_qfi(self, demo_j2_state, king3):
         # PSD ordering F <= Q for sampled binary designs
