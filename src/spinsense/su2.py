@@ -201,15 +201,17 @@ class RotationParams:
 
 @dataclass(frozen=True)
 class GeneratorFrame:
-    """Closed-form vectors g_theta, g_cap_theta, g_cap_phi with G_k = J . g_k."""
+    """Closed-form vectors g_theta, g_cap_theta, g_cap_phi with G_k = J . g_k;
+    each of shape (3,), or (..., 3) for a stack of parameters."""
 
     g_theta: np.ndarray
     g_cap_theta: np.ndarray
     g_cap_phi: np.ndarray
 
     def matrix(self) -> np.ndarray:
-        """3x3 matrix whose columns are (g_theta, g_cap_theta, g_cap_phi)."""
-        return np.column_stack([self.g_theta, self.g_cap_theta, self.g_cap_phi])
+        """Matrix whose columns are (g_theta, g_cap_theta, g_cap_phi): 3x3, or
+        (..., 3, 3) for a stack."""
+        return np.stack([self.g_theta, self.g_cap_theta, self.g_cap_phi], axis=-1)
 
 
 def so3_matrix(p: RotationParams) -> np.ndarray:
@@ -227,17 +229,28 @@ def rotation_unitary(j: HalfInt, p: RotationParams) -> np.ndarray:
     return omega_rotate(j, p.omega, np.eye(j.dim)).T
 
 
-def generator_frame(p: RotationParams) -> GeneratorFrame:
-    """Closed-form generator vectors for the (theta, cap_theta, cap_phi) triple."""
-    t2 = p.theta / 2.0
-    st2, ct2 = math.sin(t2), math.cos(t2)
-    n = p.axis
-    ct, st = math.cos(p.cap_theta), math.sin(p.cap_theta)
-    cp, sp = math.cos(p.cap_phi), math.sin(p.cap_phi)
-    dn_dT = np.array([ct * cp, ct * sp, -st])
-    dn_dF = np.array([-st * sp, st * cp, 0.0])
-    g_T = 2.0 * st2 * (ct2 * dn_dT - st2 * np.cross(dn_dT, n))
-    g_F = 2.0 * st2 * (ct2 * dn_dF - st2 * np.cross(dn_dF, n))
+def _cross(a, b):
+    """a x b over the last axis, component by component."""
+    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
+
+
+def generator_frame(p) -> GeneratorFrame:
+    """Closed-form generator vectors for the (theta, cap_theta, cap_phi)
+    triple ``p``, a RotationParams, or for each row of a stack of shape
+    (..., 3) of such triples."""
+    theta, cap_theta, cap_phi = np.moveaxis(
+        np.asarray(p.as_array() if isinstance(p, RotationParams) else p, dtype=float), -1, 0)
+    t2 = theta / 2.0
+    st2, ct2 = np.sin(t2)[..., None], np.cos(t2)[..., None]
+    ct, st = np.cos(cap_theta), np.sin(cap_theta)
+    cp, sp = np.cos(cap_phi), np.sin(cap_phi)
+    n = np.stack([st * cp, st * sp, ct], axis=-1)
+    dn_dT = np.stack([ct * cp, ct * sp, -st], axis=-1)
+    dn_dF = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1)
+    g_T = 2.0 * st2 * (ct2 * dn_dT - st2 * _cross(dn_dT, n))
+    g_F = 2.0 * st2 * (ct2 * dn_dF - st2 * _cross(dn_dF, n))
     return GeneratorFrame(g_theta=n, g_cap_theta=g_T, g_cap_phi=g_F)
 
 

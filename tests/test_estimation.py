@@ -9,7 +9,7 @@ from spinsense import estimation
 from spinsense.errors import (DegenerateInputError, DomainError,
                               NonIdentifiableError)
 from spinsense.estimation import (EstimationReport, MeasurementModel, ShotRecord,
-                                  born_derivatives, estimator_stats,
+                                  born_derivatives, born_probability_model, estimator_stats,
                                   grid_probability_table, husimi_design,
                                   husimi_experiment, ml_estimate,
                                   monte_carlo_qcrb, optimal_pvm,
@@ -18,8 +18,8 @@ from spinsense.majorana import husimi
 from spinsense.metrology import classical_fi, qfi_rotation_matrix
 from spinsense.states import (BlochPoint, SpinState, basis_state, coherent_state,
                               king_state, noon_state)
-from spinsense.su2 import (HalfInt, RotationParams, compose, omega_rotate,
-                           rotation_unitary)
+from spinsense.su2 import (HalfInt, RotationParams, compose, omega_rotate, omega_so3,
+                           rotation_unitary, so3_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +38,15 @@ class TestMeasurementModel:
         rest = np.eye(2) - bad
         with pytest.raises(DomainError):
             MeasurementModel(elements=(bad, rest), labels=("a", "b"))
+
+    def test_experiment_models_build_no_kernel(self, king3):
+        # an experiment's stages share its kernel; a model builds its own
+        # only when used on its own
+        exp = optimal_pvm_experiment(king3, RotationParams(0.8, 1.1, 2.3))
+        exp.sample_counts(RotationParams(0.8, 1.1, 2.3), 1000, [0, 1])
+        assert all("kernel" not in vars(m) for m in exp.stages)
+        p = exp.stages[0].probabilities(king3)
+        assert "kernel" in vars(exp.stages[0]) and abs(p.sum() - 1.0) < 1e-12
 
     def test_probabilities(self):
         j = HalfInt(2)
@@ -347,10 +356,11 @@ class TestNewtonRefinement:
                 assert abs(val[0] - vals[i]) <= 1e-12 * abs(vals[i])
                 assert np.max(np.abs(rot[0] - rots[i])) < 1e-10
 
-    def test_fallback_logs_its_reason(self, king3, monkeypatch, caplog):
+    def test_fallback_logs_its_reason(self, monkeypatch, caplog):
+        # a global fit, which refines several starts per trial
         monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
         fits = _record_calls(monkeypatch, "_newton_fit")
-        exp, kwargs, trials = _king_j3_trials(king3, 1)
+        exp, kwargs, trials = _gps_j2_trials(1)
         with caplog.at_level(logging.DEBUG, logger="spinsense"):
             ml_estimate(trials[0], exp, **kwargs)
         events = [r for r in caplog.records if r.name == "spinsense"]
@@ -429,15 +439,142 @@ class TestTrialStack:
                                10_000, 20, 7)
         assert rep.n_failed == 1
 
-    def test_nelder_mead_rows_use_their_own_counts(self, king3, monkeypatch):
+    def test_nelder_mead_rows_use_their_own_counts(self, monkeypatch):
+        # a global fit, which refines several starts per trial
         monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
-        exp, kwargs, trials = _king_j3_trials(king3, 3)
+        exp, kwargs, trials = _gps_j2_trials(3)
         alone = [ml_estimate(r, exp, **kwargs).as_array() for r in trials]
         calls = _record_calls(monkeypatch, "minimize")
-        fits = estimation._fit_trials(exp, _stacked(trials), _table(exp, kwargs),
-                                      kwargs["anchor"])
+        fits = estimation._fit_trials(exp, _stacked(trials), _table(exp, kwargs), None)
         assert len(calls) > len(trials)
         assert _max_angle_diff([f.as_array() for f in fits], alone) < 1e-9
+
+
+class TestPeakStarts:
+    """Newton starts are the local maxima of a trial's table scores: cells
+    at least as high as their 26 grid neighbours."""
+
+    @staticmethod
+    def _starts(scores, cand, grid, n_starts):
+        order = np.argsort(scores)[::-1]
+        return np.array(estimation._peak_starts(scores, order, cand, grid, n_starts))
+
+    def test_global_grid_wraps_in_cap_phi(self, demo_j2_state):
+        exp = husimi_experiment(demo_j2_state, GPS_J2_DIRECTIONS)
+        shape = (6, 4, 8)
+        cand, _ = grid_probability_table(exp, shape)
+        grid = estimation._table_grid(cand, None)
+        i, j, k = np.unravel_index(np.arange(len(cand)), shape)
+        # one bump on the cap_phi seam, centred on the cell k = 0; without
+        # the wrap, its cell k = 7, the top of a slope that ends at the
+        # seam, would be a second peak
+        dk = np.minimum(k, shape[2] - k)
+        scores = -((i - 2.0) ** 2 + (j - 1.0) ** 2 + dk ** 2.0)
+        starts = self._starts(scores, cand, grid, 8)
+        assert len(starts) == 1
+        assert np.allclose(starts[0], cand[np.ravel_multi_index((2, 1, 0), shape)])
+        # two separated maxima come back best first
+        two = np.maximum(scores, 1.0 - ((i - 4.0) ** 2 + (j - 3.0) ** 2 + (k - 4.0) ** 2))
+        starts = self._starts(two, cand, grid, 8)
+        assert len(starts) == 2
+        assert np.allclose(starts, cand[np.ravel_multi_index(([4, 2], [3, 1], [4, 0]), shape)])
+        assert len(self._starts(two, cand, grid, 1)) == 1
+
+    def test_anchored_cube(self, king3):
+        anchor = RotationParams(0.8, 1.1, 2.3)
+        cand, _ = grid_probability_table(optimal_pvm_experiment(king3, anchor), anchor=anchor)
+        grid = estimation._table_grid(cand, anchor)
+        step = estimation._ANCHOR_RADIUS / 3.0
+        # a bump centred outside the ball peaks at the ball's edge, where the
+        # lattice has no further cell
+        edge = np.array([3 * step, 0.0, 0.0])
+        starts = self._starts(-np.sum((cand - 5.0 / 3.0 * edge) ** 2, axis=1), cand, grid, 4)
+        assert np.allclose(starts, [edge])
+        # two separated maxima, best first; every other cell is below a neighbour
+        a, b = np.array([-2, 0, 1]) * step, np.array([2, 1, -1]) * step
+        scores = np.maximum(-np.sum((cand - a) ** 2, axis=1),
+                            -0.05 - np.sum((cand - b) ** 2, axis=1))
+        assert np.allclose(self._starts(scores, cand, grid, 4), [a, b])
+
+    def test_king_trial_gets_one_start(self, king3, monkeypatch):
+        fits = _record_calls(monkeypatch, "_newton_fit")
+        exp, kwargs, trials = _king_j3_trials(king3, 20)
+        estimation._fit_trials(exp, _stacked(trials), _table(exp, kwargs), kwargs["anchor"])
+        (args,) = fits
+        assert len(args[3]) == len(trials)
+
+
+def _cox_snell_by_differences(exp, probe, point, n_shots, h):
+    """The Cox-Snell bias of ``n_shots`` shots at ``point``, in the local chart
+    psi(delta) = exp(-i J.delta) U(point) probe, from central differences of
+    each stage's born_probability_model: I = N sum p l_r l_t,
+    kappa_{rt,u} = N sum p l_rt l_u and kappa_{rtu} = N sum p l_rtu, with
+    l = log p and N each stage's share of the shots.  Returns the bias and I."""
+    models = [born_probability_model(m, probe) for m in exp.stages]
+    base = so3_matrix(point)
+
+    def log_p(delta):
+        params = RotationParams.from_so3(omega_so3(delta) @ base)
+        return np.concatenate([np.log(f(params)) for f in models])
+
+    shares = np.concatenate([np.full(len(m.elements), n_shots * w)
+                             for m, w in zip(exp.stages, exp.weights)])
+    p = np.exp(log_p(np.zeros(3)))
+    e = h * np.eye(3)
+    signs = [np.array(s) for s in np.ndindex(2, 2, 2)]
+    d1 = np.array([(log_p(e[r]) - log_p(-e[r])) / (2 * h) for r in range(3)])
+    d2 = np.array([[sum((1 - 2 * a) * (1 - 2 * b) * log_p((1 - 2 * a) * e[r] + (1 - 2 * b) * e[t])
+                        for a, b in np.ndindex(2, 2)) / (4 * h * h)
+                    for t in range(3)] for r in range(3)])
+    d3 = np.array([[[sum(np.prod(1 - 2 * s) * log_p((1 - 2 * s) @ e[[r, t, u]]) for s in signs)
+                     / (8 * h ** 3) for u in range(3)] for t in range(3)] for r in range(3)])
+    w = shares * p
+    info = np.einsum("rx,tx,x->rt", d1, d1, w)
+    kappa_rt_u = np.einsum("rtx,ux,x->rtu", d2, d1, w)
+    kappa_rtu = np.einsum("rtux,x->rtu", d3, w)
+    inv = np.linalg.inv(info)
+    return np.einsum("sr,tu,rtu->s", inv, inv, kappa_rt_u + 0.5 * kappa_rtu), info
+
+
+class TestCoxSnellBias:
+    """The study subtracts each trial's Cox-Snell bias from its MLE."""
+
+    @pytest.mark.parametrize("design", ["king_pvm", "husimi"])
+    def test_matches_finite_differences(self, design, king3, demo_j2_state):
+        if design == "king_pvm":
+            probe, point = king3, RotationParams(0.83, 1.08, 2.32)
+            exp = optimal_pvm_experiment(probe, RotationParams(0.8, 1.1, 2.3))
+        else:
+            probe, point = demo_j2_state, RotationParams(0.9, 1.2, 0.7)
+            exp = husimi_experiment(probe, GPS_J2_DIRECTIONS)
+        n_shots = 10_000
+        counts = np.zeros((1, exp.kernel._seg_t.shape[1]))
+        counts[0, 0] = n_shots                  # only the trial's total counts
+        fits, bias, size = estimation._check_optima(exp, [point], counts)
+        assert fits == [point]
+        # Richardson's extrapolation cancels the differences' h^2 error
+        (coarse, info), (fine, _) = (_cox_snell_by_differences(exp, probe, point, n_shots, h)
+                                     for h in (2e-4, 1e-4))
+        expect = (4.0 * fine - coarse) / 3.0
+        assert np.max(np.abs(bias[0] - expect)) < 2e-5 * np.max(np.abs(expect))
+        assert abs(size[0] - math.sqrt(expect @ info @ expect)) < 1e-4 * size[0]
+
+    def test_bias_cap_rejects_trials_at_300_shots(self, king3):
+        p_true = RotationParams(0.8, 1.1, 2.3)
+        exp = optimal_pvm_experiment(king3, p_true)
+        counts = exp.sample_counts(p_true, 300, [(7, t) for t in range(100)]).astype(float)
+        table = grid_probability_table(exp, anchor=p_true)
+        plain = estimation._fit_trials(exp, counts, table, p_true)
+        bias = np.zeros((len(counts), 3))
+        capped = estimation._fit_trials(exp, counts, table, p_true, bias)
+        rejected = [t for t, fit in enumerate(capped) if "second-order bias" in str(fit)]
+        assert rejected
+        for t in rejected:
+            # ml_estimate's plain fit of the same trial stands
+            assert isinstance(plain[t], RotationParams)
+        for a, b in zip(plain, capped):
+            if isinstance(b, RotationParams):
+                assert a == b
 
 
 class TestEstimatorStats:

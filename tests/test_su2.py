@@ -167,6 +167,14 @@ class TestGeneratorFrame:
             p = random_params(rng)
             assert np.allclose(generator_frame(p).g_theta, p.axis, atol=1e-14)
 
+    def test_stack_rows_are_single_calls(self):
+        rng = np.random.default_rng(11)
+        params = [random_params(rng) for _ in range(20)]
+        stack = generator_frame(np.array([p.as_array() for p in params])).matrix()
+        assert stack.shape == (20, 3, 3)
+        for p, m in zip(params, stack):
+            assert np.array_equal(generator_frame(p).matrix(), m)
+
     def test_zero_angle_limit(self):
         f = generator_frame(RotationParams(0.0, 1.0, 2.0))
         assert np.allclose(f.g_cap_theta, 0.0)
