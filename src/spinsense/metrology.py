@@ -86,15 +86,19 @@ class SldOperator:
     l: np.ndarray
 
 
-def _finish_fi_matrix(q: np.ndarray, labels) -> QfiMatrix:
-    q = 0.5 * (q + q.T)
+def _rank_split(q: np.ndarray):
+    """The symmetrized information matrices q (..., D, D), their ascending
+    eigenvalues and eigenvectors, and which eigenvalues count as null: at or
+    below _RANK_RTOL times the largest, floored at 0."""
+    q = 0.5 * (q + np.swapaxes(q, -1, -2))
     eigs, vecs = np.linalg.eigh(q)
-    thresh = _RANK_RTOL * max(float(eigs[-1]), 0.0)
-    null_cols = [vecs[:, i] for i in range(len(eigs)) if eigs[i] <= thresh]
-    rank = q.shape[0] - len(null_cols)
-    null = (np.column_stack(null_cols) if null_cols
-            else np.zeros((q.shape[0], 0)))
-    return QfiMatrix(q=q, rank=rank, null_basis=null, param_labels=tuple(labels))
+    return q, eigs, vecs, eigs <= _RANK_RTOL * np.maximum(eigs[..., -1:], 0.0)
+
+
+def _finish_fi_matrix(q: np.ndarray, labels) -> QfiMatrix:
+    q, _, vecs, null = _rank_split(q)
+    return QfiMatrix(q=q, rank=q.shape[0] - int(null.sum()), null_basis=vecs[:, null],
+                     param_labels=tuple(labels))
 
 
 def cov_matrix(state: SpinState) -> SensCov:
@@ -318,9 +322,8 @@ def singular_diagnosis(fi: QfiMatrix, perturbed=None) -> SingularityReport:
     perturbation is classified as a coordinate singularity, a persistent
     deficit as a state deficiency.
     """
-    eigs, vecs = np.linalg.eigh(fi.q)
-    thresh = _RANK_RTOL * max(float(eigs[-1]), 0.0)
-    inv_eigs = np.where(eigs > thresh, 1.0 / np.where(eigs > thresh, eigs, 1.0), 0.0)
+    _, eigs, vecs, null = _rank_split(fi.q)
+    inv_eigs = np.where(null, 0.0, 1.0 / np.where(null, 1.0, eigs))
     pinv = (vecs * inv_eigs) @ vecs.T
     if fi.rank == fi.dim:
         classification = "full_rank"

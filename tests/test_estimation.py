@@ -7,7 +7,7 @@ import pytest
 from conftest import DEMO_J2_AMPS, random_params
 from spinsense import estimation
 from spinsense.errors import (DegenerateInputError, DomainError,
-                              NonIdentifiableError)
+                              NonIdentifiableError, UnreliableRunError)
 from spinsense.estimation import (EstimationReport, MeasurementModel, ShotRecord,
                                   born_derivatives, born_probability_model, estimator_stats,
                                   grid_probability_table, husimi_design,
@@ -397,7 +397,7 @@ class TestTrialStack:
         calls = _record_calls(monkeypatch, "_fit_trials", fits)
         monte_carlo_qcrb(**self._study(protocol, 7))
         assert [len(c[1]) for c in calls] == [3, 3, 1]
-        stacked = np.array([f.as_array() for chunk in fits for f in chunk])
+        stacked = np.array([f.as_array() for chunk, _, _ in fits for f in chunk])
         assert _max_angle_diff(stacked, alone) < 1e-9
 
     @pytest.mark.parametrize("protocol", ["king_j3", "gps_j2"])
@@ -420,10 +420,12 @@ class TestTrialStack:
         exp, kwargs, trials = _king_j3_trials(king3, 4)
         table, anchor = _table(exp, kwargs), kwargs["anchor"]
         counts = _stacked(trials)
-        good = estimation._fit_trials(exp, counts, table, anchor)
-        mixed = estimation._fit_trials(exp, np.insert(counts, 2, 0.0, axis=0), table, anchor)
+        good, _, _ = estimation._fit_trials(exp, counts, table, anchor)
+        mixed, bias, size = estimation._fit_trials(exp, np.insert(counts, 2, 0.0, axis=0),
+                                                   table, anchor)
         assert isinstance(mixed[2], NonIdentifiableError)
         assert "flat" in str(mixed[2])
+        assert np.isnan(bias[2]).all() and np.isnan(size[2])
         kept = [f.as_array() for f in mixed[:2] + mixed[3:]]
         assert _max_angle_diff(kept, [f.as_array() for f in good]) < 1e-12
         # a study counts such a trial in n_failed by itself
@@ -445,7 +447,7 @@ class TestTrialStack:
         exp, kwargs, trials = _gps_j2_trials(3)
         alone = [ml_estimate(r, exp, **kwargs).as_array() for r in trials]
         calls = _record_calls(monkeypatch, "minimize")
-        fits = estimation._fit_trials(exp, _stacked(trials), _table(exp, kwargs), None)
+        fits, _, _ = estimation._fit_trials(exp, _stacked(trials), _table(exp, kwargs), None)
         assert len(calls) > len(trials)
         assert _max_angle_diff([f.as_array() for f in fits], alone) < 1e-9
 
@@ -462,8 +464,7 @@ class TestPeakStarts:
     def test_global_grid_wraps_in_cap_phi(self, demo_j2_state):
         exp = husimi_experiment(demo_j2_state, GPS_J2_DIRECTIONS)
         shape = (6, 4, 8)
-        cand, _ = grid_probability_table(exp, shape)
-        grid = estimation._table_grid(cand, None)
+        cand, _, grid = grid_probability_table(exp, shape)
         i, j, k = np.unravel_index(np.arange(len(cand)), shape)
         # one bump on the cap_phi seam, centred on the cell k = 0; without
         # the wrap, its cell k = 7, the top of a slope that ends at the
@@ -482,8 +483,8 @@ class TestPeakStarts:
 
     def test_anchored_cube(self, king3):
         anchor = RotationParams(0.8, 1.1, 2.3)
-        cand, _ = grid_probability_table(optimal_pvm_experiment(king3, anchor), anchor=anchor)
-        grid = estimation._table_grid(cand, anchor)
+        cand, _, grid = grid_probability_table(optimal_pvm_experiment(king3, anchor),
+                                               anchor=anchor)
         step = estimation._ANCHOR_RADIUS / 3.0
         # a bump centred outside the ball peaks at the ball's edge, where the
         # lattice has no further cell
@@ -559,22 +560,38 @@ class TestCoxSnellBias:
         assert np.max(np.abs(bias[0] - expect)) < 2e-5 * np.max(np.abs(expect))
         assert abs(size[0] - math.sqrt(expect @ info @ expect)) < 1e-4 * size[0]
 
-    def test_bias_cap_rejects_trials_at_300_shots(self, king3):
-        p_true = RotationParams(0.8, 1.1, 2.3)
-        exp = optimal_pvm_experiment(king3, p_true)
-        counts = exp.sample_counts(p_true, 300, [(7, t) for t in range(100)]).astype(float)
-        table = grid_probability_table(exp, anchor=p_true)
-        plain = estimation._fit_trials(exp, counts, table, p_true)
-        bias = np.zeros((len(counts), 3))
-        capped = estimation._fit_trials(exp, counts, table, p_true, bias)
-        rejected = [t for t, fit in enumerate(capped) if "second-order bias" in str(fit)]
-        assert rejected
-        for t in rejected:
-            # ml_estimate's plain fit of the same trial stands
-            assert isinstance(plain[t], RotationParams)
-        for a, b in zip(plain, capped):
-            if isinstance(b, RotationParams):
-                assert a == b
+    @staticmethod
+    def _king_study(king3, monkeypatch, n_shots):
+        """A 100-trial King study at ``n_shots``: its report or the
+        UnreliableRunError it raises, every trial's plain fit, and the size
+        sqrt(b^T I b) of every trial's bias."""
+        fits = []
+        _record_calls(monkeypatch, "_fit_trials", fits)
+        try:
+            out = monte_carlo_qcrb(king3, RotationParams(0.8, 1.1, 2.3), "optimal_pvm",
+                                   n_shots, 100, 7)
+        except UnreliableRunError as err:
+            out = err
+        return (out, [f for chunk, _, _ in fits for f in chunk],
+                np.concatenate([size for _, _, size in fits]))
+
+    def test_bias_cap_fails_a_study_at_300_shots(self, king3, monkeypatch):
+        out, plain, size = self._king_study(king3, monkeypatch, 300)
+        capped = size > estimation._MAX_BIAS
+        # every plain fit stands, as ml_estimate returns it; the study drops
+        # the capped trials, more than the 5% it tolerates
+        assert all(isinstance(f, RotationParams) for f in plain)
+        assert capped.sum() > 5
+        assert isinstance(out, UnreliableRunError)
+        assert out.failed_fraction == capped.sum() / 100
+        assert f", {capped.sum()} of them for a second-order bias" in str(out)
+
+    def test_bias_cap_trims_a_study_at_500_shots(self, king3, monkeypatch):
+        rep, plain, size = self._king_study(king3, monkeypatch, 500)
+        capped = size > estimation._MAX_BIAS
+        assert all(isinstance(f, RotationParams) for f in plain)
+        assert isinstance(rep, EstimationReport)
+        assert rep.n_failed == capped.sum() > 0
 
 
 class TestEstimatorStats:
@@ -722,7 +739,7 @@ class TestGpsIdentifiability:
                 BlochPoint(2.6, 5.6)]
         exp = husimi_experiment(demo_j2_state, dirs)
         p_true = RotationParams(0.9, 1.2, 0.7)
-        grid, tables = grid_probability_table(exp)
+        grid, tables, _ = grid_probability_table(exp)
         weights = [q * 1e6 for q in exp.stage_probabilities(p_true)]
         scores = np.zeros(len(grid))
         for w, t in zip(weights, tables):
