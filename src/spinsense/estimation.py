@@ -378,10 +378,6 @@ def husimi_experiment(probe: SpinState, directions) -> RotationExperiment:
     return RotationExperiment(probe, stages)
 
 
-_GRID_SHAPE = (16, 8, 16)
-# sparse binary designs have rugged likelihoods; the stage tables are cheap,
-# so monte_carlo_qcrb seeds a Husimi study's search from a finer grid
-_HUSIMI_GRID_SHAPE = (24, 16, 24)
 _ANCHOR_RADIUS = 0.35
 _TABLE_CHUNK = 1024      # candidates rotated at once; bounds the table's scratch memory
 _PEAK_BLOCK = 256        # best-ranked cells tested for a peak at once
@@ -395,54 +391,45 @@ _RESTARTS = np.array([sign * step * axis for step in (0.12, 0.25) for axis in np
                       for sign in (-1.0, 1.0)])
 
 
-def grid_probability_table(experiment: RotationExperiment, shape=_GRID_SHAPE,
-                           anchor: RotationParams = None):
+def grid_probability_table(experiment: RotationExperiment, anchor: RotationParams = None):
     """Candidate rotation vectors w, shape (n, 3); each stage's outcome
     probabilities at them, shape (n, outcomes); and the grid that holds
     them, for the peak test of ml_estimate (see _neighbour_grid).  They
     depend only on the experiment, so one table serves every trial of a
     study.
 
-    Without an anchor the candidates are the rotation vectors omega of a
-    ``shape`` grid over (theta, cap_theta, cap_phi), applied to the probe;
-    the grid wraps in cap_phi.  With one they are the points within 0.35 rad
-    of a 7^3 cubic lattice of w, applied to U(anchor) probe (see
-    ml_estimate), and ``shape`` is unused.
+    The candidates are the points of a cubic lattice of w in a ball around
+    w = 0, applied to a base state as exp(-i J.w) psi_base.  Without an
+    anchor psi_base is the probe, and the lattice steps by pi/12 out to
+    13 pi/12 (9171 cells), one step past theta = pi, so that a peak there
+    has neighbours on both sides.  With one psi_base is U(anchor) probe
+    (see ml_estimate), and the lattice steps by 0.35/3 out to 0.35 rad.
     """
     if anchor is None:
-        n_t, n_T, n_F = shape
-        t, T, F = np.meshgrid((np.arange(n_t) + 0.5) * math.pi / n_t,
-                              (np.arange(n_T) + 0.5) * math.pi / n_T,
-                              (np.arange(n_F) + 0.5) * TWO_PI / n_F, indexing="ij")
-        axis = np.stack([np.sin(T) * np.cos(F), np.sin(T) * np.sin(F), np.cos(T)], axis=-1)
-        w = (t[..., None] * axis).reshape(-1, 3)
-        ijk = np.indices(shape).reshape(3, -1)
-        psi = experiment.probe.amps
+        step, n_steps, psi = math.pi / 12.0, 13, experiment.probe.amps
     else:
-        shape = (7, 7, 7)
-        ijk = np.indices(shape).reshape(3, -1)
-        w = (np.arange(-3, 4) * (_ANCHOR_RADIUS / 3.0))[ijk.T]
-        inside = np.linalg.norm(w, axis=1) <= _ANCHOR_RADIUS + 1e-12
-        w, ijk = w[inside], ijk[:, inside]
-        psi = experiment.rotated_amps(anchor)
+        step, n_steps, psi = _ANCHOR_RADIUS / 3.0, 3, experiment.rotated_amps(anchor)
+    shape = (2 * n_steps + 1,) * 3
+    ijk = np.indices(shape).reshape(3, -1)
+    w = (np.arange(-n_steps, n_steps + 1) * step)[ijk.T]
+    inside = np.linalg.norm(w, axis=1) <= n_steps * step + 1e-12
+    w, ijk = w[inside], ijk[:, inside]
     kernel = experiment.kernel
     p = np.vstack([kernel.probabilities(omega_rotate(kernel.j, chunk, psi))
                    for chunk in np.split(w, range(_TABLE_CHUNK, len(w), _TABLE_CHUNK))])
     return (w, [q / q.sum(axis=1, keepdims=True) for q in np.split(p, kernel.splits, axis=1)],
-            _neighbour_grid(ijk, shape, wrap=anchor is None))
+            _neighbour_grid(ijk, shape))
 
 
-def _neighbour_grid(ijk, shape, wrap):
+def _neighbour_grid(ijk, shape):
     """The grid of candidates at the points ``ijk`` (3, n) of a ``shape``
     grid: the grid padded by one cell on every side as a flat index array,
     holding the candidate at each point and -1 where there is none; each
     candidate's position in it; and the flat offsets of a cell's 26
-    neighbours.  With ``wrap`` the padding wraps in the last axis."""
+    neighbours."""
     cube = np.full(shape, -1)
     cube[tuple(ijk)] = np.arange(ijk.shape[1])
     cube = np.pad(cube, 1, constant_values=-1)
-    if wrap:
-        cube[:, :, 0], cube[:, :, -1] = cube[:, :, -2], cube[:, :, 1]
     offsets = (np.ravel_multi_index(np.indices((3, 3, 3)).reshape(3, -1), cube.shape)
                - np.ravel_multi_index((1, 1, 1), cube.shape))
     return cube.ravel(), np.ravel_multi_index(ijk + 1, cube.shape), offsets[offsets != 0]
@@ -477,14 +464,13 @@ def ml_estimate(records, experiment: RotationExperiment, grid_cache=None,
     exp(-i J.w) U(anchor) on a cubic lattice of w, and psi_base is
     U(anchor) probe; a J = 3 King trial's table has one peak, so one start.
 
-    Without an anchor, the candidates are a coarse global grid over (theta,
-    cap_theta, cap_phi), of shape (16, 8, 16) when built here, which wraps
-    in cap_phi for the peak test; w is the Cartesian rotation vector
+    Without an anchor, the candidates are the same kind of lattice, coarser
+    and reaching one step past theta = pi, of the rotation vector
     omega = theta*n, which stays smooth through theta = 0, and psi_base is
-    the probe.  A second stack of twelve
-    restarts, at 0.12 and 0.25 rad along +-x, +-y and +-z of the first
-    stack's optimum, escapes adjacent-basin traps of rugged likelihoods; a
-    restart wins only by more than 1e-9 nats.
+    the probe.  A second stack of twelve restarts, at 0.12 and 0.25 rad
+    along +-x, +-y and +-z of the first stack's optimum, escapes
+    adjacent-basin traps of rugged likelihoods; a restart wins only by more
+    than 1e-9 nats.
 
     A flat likelihood, a singular information matrix at the optimum, or a
     bound sigma above 0.35 rad there raises NonIdentifiableError.
@@ -813,9 +799,9 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
     SingularInformationError propagates from the bound computation).  Trials
     draw independent multinomial data with per-trial seeds (seed, trial), all
     drawn first, and are estimator-failure tolerant up to 5%.  The candidate
-    table of ml_estimate is built once for all trials: for "optimal_pvm" the
-    lattice anchored at ``true_params``, and for "husimi" a global
-    (24, 16, 24) grid.  The trials are then fitted in chunks, each chunk
+    table that ml_estimate builds is built once for all trials: for
+    "optimal_pvm" the lattice anchored at ``true_params``, and for "husimi"
+    the global lattice.  The trials are then fitted in chunks, each chunk
     one stack of (trial, start) rows that gives every trial the estimate
     ml_estimate gives it alone; a trial that ml_estimate rejects counts in
     n_failed by itself.  ``offset_angle`` defaults to min(0.1, 1/(2J)).
@@ -850,8 +836,7 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
     else:
         raise DomainError(f"unknown scheme {scheme!r}")
 
-    # with an anchor the table ignores its shape
-    cache = grid_probability_table(experiment, _HUSIMI_GRID_SHAPE, anchor)
+    cache = grid_probability_table(experiment, anchor)
     counts = experiment.sample_counts(true_params, n_shots,
                                       [(seed, trial) for trial in range(n_trials)]).astype(float)
     n_ops, _, width = experiment.kernel._ops_f.shape

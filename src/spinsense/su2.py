@@ -178,24 +178,24 @@ class RotationParams:
 
     @classmethod
     def from_so3(cls, matrix) -> "RotationParams":
-        """Axis-angle parameters of a proper rotation matrix (our sign convention)."""
+        """Axis-angle parameters of a proper rotation matrix (our sign convention).
+
+        theta is the atan2 of |w| = 2 sin(theta), w from the antisymmetric part,
+        and tr - 1 = 2 cos(theta), accurate at any angle; where cos(theta) < 0 the
+        axis comes from the symmetric part (1 - cos(theta)) n n^T, signed by w."""
         r = np.asarray(matrix, dtype=float)
-        tr = np.trace(r)
-        theta = math.acos(min(1.0, max(-1.0, (tr - 1.0) / 2.0)))
-        # antisymmetric part carries 2 sin(theta) * n under the convention
-        # fixed by so3_matrix
         w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-        s = np.linalg.norm(w)
-        if s > 1e-12:
-            n = w / s
+        cos2 = np.trace(r) - 1.0
+        theta = math.atan2(np.linalg.norm(w), cos2)
+        if theta == 0.0:
+            return cls(0.0, 0.0, 0.0)
+        if cos2 >= 0.0:
+            n = w
         else:
-            if theta < 1e-8:
-                return cls(0.0, 0.0, 0.0)
-            # theta = pi: axis from the symmetric part
-            sym = (r + np.eye(3)) / 2.0
-            k = int(np.argmax(np.diag(sym)))
-            n = sym[:, k] / math.sqrt(max(sym[k, k], 1e-300))
-            n /= np.linalg.norm(n)
+            sym = (r + r.T - cos2 * np.eye(3)) / 2.0
+            n = sym[:, np.argmax(np.diag(sym))]
+            n = n if n @ w >= 0.0 else -n
+        n = n / np.linalg.norm(n)
         return cls(theta, math.acos(min(1.0, max(-1.0, n[2]))), math.atan2(n[1], n[0]) % TWO_PI)
 
 

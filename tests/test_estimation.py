@@ -260,12 +260,12 @@ def _king_j3_trials(probe, n_trials):
 
 def _gps_j2_trials(n_trials):
     """The configs/gps_j2.json protocol: the figure-3 probe, its four Husimi
-    directions, 4 x 10^5 shots, the (24, 16, 24) grid table and trial seeds
+    directions, 4 x 10^5 shots, the global lattice table and trial seeds
     (21, trial); no anchor."""
     p_true = RotationParams(0.9, 1.2, 0.7)
     exp = husimi_experiment(SpinState.from_amplitudes(HalfInt(4), DEMO_J2_AMPS),
                             GPS_J2_DIRECTIONS)
-    cache = grid_probability_table(exp, (24, 16, 24))
+    cache = grid_probability_table(exp)
     return exp, {"grid_cache": cache}, [exp.sample(p_true, 400_000, (21, t))
                                         for t in range(n_trials)]
 
@@ -461,25 +461,20 @@ class TestPeakStarts:
         order = np.argsort(scores)[::-1]
         return np.array(estimation._peak_starts(scores, order, cand, grid, n_starts))
 
-    def test_global_grid_wraps_in_cap_phi(self, demo_j2_state):
-        exp = husimi_experiment(demo_j2_state, GPS_J2_DIRECTIONS)
-        shape = (6, 4, 8)
-        cand, _, grid = grid_probability_table(exp, shape)
-        i, j, k = np.unravel_index(np.arange(len(cand)), shape)
-        # one bump on the cap_phi seam, centred on the cell k = 0; without
-        # the wrap, its cell k = 7, the top of a slope that ends at the
-        # seam, would be a second peak
-        dk = np.minimum(k, shape[2] - k)
-        scores = -((i - 2.0) ** 2 + (j - 1.0) ** 2 + dk ** 2.0)
-        starts = self._starts(scores, cand, grid, 8)
-        assert len(starts) == 1
-        assert np.allclose(starts[0], cand[np.ravel_multi_index((2, 1, 0), shape)])
-        # two separated maxima come back best first
-        two = np.maximum(scores, 1.0 - ((i - 4.0) ** 2 + (j - 3.0) ** 2 + (k - 4.0) ** 2))
-        starts = self._starts(two, cand, grid, 8)
-        assert len(starts) == 2
-        assert np.allclose(starts, cand[np.ravel_multi_index(([4, 2], [3, 1], [4, 0]), shape)])
-        assert len(self._starts(two, cand, grid, 1)) == 1
+    def test_global_lattice(self, demo_j2_state):
+        cand, _, grid = grid_probability_table(husimi_experiment(demo_j2_state,
+                                                                 GPS_J2_DIRECTIONS))
+        step = math.pi / 12.0
+        radius = np.linalg.norm(cand, axis=1)
+        # the lattice holds omega = 0 and reaches one step past theta = pi
+        assert np.min(radius) == 0.0
+        assert np.max(radius) == pytest.approx(13 * step)
+        # two separated maxima, best first; every other cell is below a neighbour
+        a, b = np.array([-5, 2, 1]) * step, np.array([4, -3, 6]) * step
+        scores = np.maximum(-np.sum((cand - a) ** 2, axis=1),
+                            -0.05 - np.sum((cand - b) ** 2, axis=1))
+        assert np.allclose(self._starts(scores, cand, grid, 8), [a, b])
+        assert np.allclose(self._starts(scores, cand, grid, 1), [a])
 
     def test_anchored_cube(self, king3):
         anchor = RotationParams(0.8, 1.1, 2.3)
@@ -789,7 +784,24 @@ class TestMonteCarlo:
         assert rep.n_failed == 0
         assert float(np.trace(rep.empirical_cov)) < 1e-2
 
-    def test_explicit_grid_shape_is_honoured(self, demo_j2_state, monkeypatch):
+    def test_husimi_study_near_pi_finds_the_higher_peak(self, demo_j2_state, monkeypatch):
+        # seeded from a (24, 16, 24) grid over (theta, cap_theta, cap_phi),
+        # this study's trial 238 ended at the rotation below, 0.86 rad from
+        # the truth and 2.7 nats under the optimum that the lattice reaching
+        # past theta = pi finds
+        results = []
+        _record_calls(monkeypatch, "_fit_trials", results)
+        p_true = RotationParams(3.1, 1.2, 0.7)
+        monte_carlo_qcrb(demo_j2_state, p_true, "husimi", 400_000, 239, 3,
+                         directions=GPS_J2_DIRECTIONS)
+        fit = [f for fits, _, _ in results for f in fits][238]
+        exp = husimi_experiment(demo_j2_state, GPS_J2_DIRECTIONS)
+        counts = [r.counts for r in exp.sample(p_true, 400_000, (3, 238))]
+        trapped = RotationParams.from_omega([-1.5118790735653744, -2.4165396390709266,
+                                             -0.30297674464173313])
+        assert exp.loglik(counts, fit) > exp.loglik(counts, trapped) + 2.0
+
+    def test_one_global_table_per_study(self, demo_j2_state, monkeypatch):
         sizes = []
         table = estimation.grid_probability_table
 
@@ -801,7 +813,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(estimation, "grid_probability_table", recording_table)
         monte_carlo_qcrb(demo_j2_state, RotationParams(0.9, 1.2, 0.7), "husimi",
                          400_000, 2, 3, directions=GPS_J2_DIRECTIONS)
-        assert sizes == [24 * 16 * 24]
+        assert sizes == [9171]
 
     def test_unknown_scheme(self, king3):
         with pytest.raises(DomainError):

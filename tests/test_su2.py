@@ -93,6 +93,15 @@ class TestRotationParams:
             q = RotationParams.from_so3(so3_matrix(p))
             assert np.max(np.abs(so3_matrix(q) - so3_matrix(p))) < 1e-12
 
+    @pytest.mark.parametrize("theta", [1e-7, 1e-9, math.pi - 1e-6, math.pi - 1e-9,
+                                       math.pi - 1e-12])
+    def test_from_so3_keeps_omega_near_zero_and_pi(self, theta):
+        # the angle from acos of the trace, or the axis from the
+        # antisymmetric part alone, lose digits here: 1e-9 came back as the
+        # identity and pi - 1e-12 2e-4 off
+        w = theta * np.array([0.36, -0.48, 0.80])
+        assert np.max(np.abs(RotationParams.from_so3(omega_so3(w)).omega - w)) < 1e-14
+
 
 class TestRotationUnitary:
     def test_identity_at_zero(self):
