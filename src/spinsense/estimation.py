@@ -58,10 +58,10 @@ def minimize(*args, **kwargs):
 class BornKernel:
     """Born probabilities of stacked POVMs and their rotation derivatives.
 
-    Each element is factored once as E_x = F_x F_x^dag from its
-    eigendecomposition, and the columns of every F_x stack into one
-    dim x K matrix F with the owning outcome of each column.  With
-    a = F^dag psi, b_k = F^dag J_k psi and c_kl = F^dag S_kl psi, where
+    Each element but the last of each model is factored once as
+    E_x = F_x F_x^dag from its eigendecomposition, and the columns of every
+    F_x stack into one dim x K matrix F.  With a = F^dag psi,
+    b_k = F^dag J_k psi and c_kl = F^dag S_kl psi, where
     S_kl = (J_k J_l + J_l J_k)/2, each summed over the columns of outcome x:
 
         p_x = |a|^2,
@@ -69,24 +69,31 @@ class BornKernel:
         d2p_x/d delta_k d delta_l = 2 Re conj(b_k) b_l - 2 Re conj(a) c_kl,
 
     the derivatives taken in the local chart psi(delta) = exp(-i J.delta) psi
-    at delta = 0.  Outcomes of all models are concatenated in model order;
-    ``splits`` cuts the flat outcome axis back into models.  A state is a
-    vector of shape (dim,), or a stack of shape (..., dim) of states whose
-    results share the stack's leading axes.
+    at delta = 0.  A model's last outcome is the complement of the others:
+    p_last = 1 - sum p_x, clipped at 0 against rounding, and minus their
+    sums for its derivatives.  So K is 8 for the optimal-PVM pair and 4 for
+    four Husimi directions at every J, whose "rest" and "miss" elements have
+    rank dim - 4 and dim - 1.  Outcomes of all models are concatenated in
+    model order; ``splits`` cuts the flat outcome axis back into models.  A
+    state is a vector of shape (dim,), or a stack of shape (..., dim) of
+    states whose results share the stack's leading axes.
     """
 
     def __init__(self, element_lists):
-        elements = [e for elems in element_lists for e in elems]
-        cols, owner = [], []
-        for x, e in enumerate(elements):
-            vals, vecs = np.linalg.eigh(e)
-            keep = vals > _ROOT_TOL
-            cols.append(vecs[:, keep] * np.sqrt(vals[keep]))
-            owner += [x] * int(keep.sum())
-        dim = elements[0].shape[0]
+        lasts = np.cumsum([len(elems) for elems in element_lists]) - 1
+        dim = element_lists[0][0].shape[0]
         self.j = HalfInt(dim - 1)
-        self.splits = np.cumsum([len(elems) for elems in element_lists])[:-1]
-        self._seg_t = (np.array(owner)[:, None] == np.arange(len(elements))).astype(float)
+        self.splits = lasts[:-1] + 1
+        unit = np.eye(lasts[-1] + 1)
+        self._offset = unit[lasts].sum(axis=0)
+        cols, seg = [np.zeros((dim, 0))], []
+        for elems, last in zip(element_lists, lasts):
+            for x, e in enumerate(elems[:-1], last + 1 - len(elems)):
+                vals, vecs = np.linalg.eigh(e)
+                keep = vals > _ROOT_TOL
+                cols.append(vecs[:, keep] * np.sqrt(vals[keep]))
+                seg += [unit[x] - unit[last]] * int(keep.sum())
+        self._seg_t = np.array(seg).reshape(-1, len(unit))
         jv = np.stack(make_operators(self.j).vector())
         jj = jv[:, None] @ jv[None, :]
         sym = 0.5 * (jj + jj.transpose(1, 0, 2, 3))
@@ -97,7 +104,7 @@ class BornKernel:
     def probabilities(self, psi) -> np.ndarray:
         """Outcome probabilities, shape (..., n) for psi of shape (..., dim)."""
         a = psi @ self._ops_f[0]
-        return (a.real ** 2 + a.imag ** 2) @ self._seg_t
+        return np.maximum((a.real ** 2 + a.imag ** 2) @ self._seg_t + self._offset, 0.0)
 
     def loglik(self, counts, psi):
         """sum_x counts_x log p_x over the stacked outcomes, per state in psi;
@@ -109,7 +116,7 @@ class BornKernel:
         in the local chart."""
         w = psi @ (self._ops_f if second else self._ops_f[:4])
         a, b = w[0], w[1:4]
-        p = (a.real ** 2 + a.imag ** 2) @ self._seg_t
+        p = np.maximum((a.real ** 2 + a.imag ** 2) @ self._seg_t + self._offset, 0.0)
         dp = 2.0 * (a.conj() * b).imag @ self._seg_t
         if not second:
             return p, dp
@@ -442,18 +449,19 @@ def ml_estimate(records, experiment: RotationExperiment, grid_cache=None,
     The likelihood is first scored on a table of candidates, as
     sum_s log(table_s) @ counts_s; ``grid_cache`` is that table, with its
     grid, from grid_probability_table, built here when not given, so a
-    study builds it once for all its trials.  The starts are the table's peaks, cells that
-    score at least as high as their 26 grid neighbours: best first, more
-    than 0.1 rad apart, and at most four with an anchor or eight without.
-    Without an anchor, four widely spread backup starts, more than 0.35 rad
-    from every peak, join them.  All starts are refined together as one
-    stack, and the best refined optimum wins.  Each start w0 is refined by
-    Newton's method in a moving local chart psi <- exp(-i J.delta) psi, from
-    psi = exp(-i J.w0) psi_base, with the exact observed Hessian (a
-    Fisher-scoring step where that Hessian is not negative definite) and
-    step halving until the log-likelihood does not drop; a start converges
-    once its Newton step is below 1e-10 rad.  A start that does not converge
-    is refined by Nelder-Mead instead.
+    study builds it once for all its trials.  The starts are the table's
+    peaks, cells that score at least as high as their 26 grid neighbours:
+    best first, more than 0.1 rad apart, and at most four with an anchor or
+    eight without.  Without an anchor, four of the best cells join them as
+    backups, each more than 0.35 rad from every earlier start.  All starts
+    are refined together as one stack, and the best refined optimum wins.
+    Each start w0 is refined by Newton's method in a moving local chart
+    psi <- exp(-i J.delta) psi, from psi = exp(-i J.w0) psi_base, with the
+    exact observed Hessian (a Fisher-scoring step where that Hessian is not
+    negative definite), each step a closed-form 3x3 solve, and step halving
+    until the log-likelihood does not drop; a start converges once its
+    Newton step is below 1e-10 rad.  A start that does not converge is
+    refined by Nelder-Mead instead.
 
     Probes with a nontrivial rotational stabilizer (NOON, balanced, Kings)
     make the *global* likelihood exactly periodic under the stabilizer, so
@@ -503,32 +511,23 @@ def _fit_trials(experiment: RotationExperiment, counts, grid_cache, anchor):
     Cox-Snell bias (n, 3) and its size (n,), nan for a flat trial."""
     kernel = experiment.kernel
     cand, per_stage, grid = grid_cache
-    # every trial's score of every cell, best cells first
+    # every trial's score of every cell
     scores = counts @ np.log(np.maximum(np.hstack(per_stage), 1e-300)).T
-    order = np.argsort(scores, axis=1)[:, ::-1]
     if anchor is not None:
         base_psi, base_rot = experiment.rotated_amps(anchor), so3_matrix(anchor)
-        n_refine = 4                      # the local problem is well seeded
+        n_peaks, n_backups = 4, 0         # the local problem is well seeded
     else:
         base_psi, base_rot = experiment.probe.amps, np.eye(3)
-        n_refine = 8
-    fits, live, stacks = [None] * len(counts), [], []
+        n_peaks, n_backups = 8, 4
     bias, size = np.full((len(counts), 3), np.nan), np.full(len(counts), np.nan)
-    for t, trial_scores in enumerate(scores):
-        if float(trial_scores.max() - trial_scores.min()) < 1e-12:
-            fits[t] = NonIdentifiableError("likelihood is flat across the parameter grid")
-            continue
-        starts = _peak_starts(trial_scores, order[t], cand, grid, n_refine)
-        if anchor is None:
-            # widely spread backups at least 0.35 from every start
-            backups = _spread(cand[order[t, :_PEAK_BLOCK]].T, starts, 4, 0.35)
-            if len(backups) < 4:           # the best cells nearly always suffice
-                backups = _spread(cand[order[t]].T, starts, 4, 0.35)
-            starts += backups
-        live.append(t)
-        stacks.append(np.array(starts))
-    if not live:
+    flat = scores.max(axis=1) - scores.min(axis=1) < 1e-12
+    fits = [NonIdentifiableError("likelihood is flat across the parameter grid") if f else None
+            for f in flat]
+    live = np.flatnonzero(~flat)
+    if not live.size:
         return fits, bias, size
+    starts = _select_starts(scores[live], cand, grid, n_peaks, n_backups)
+    found = ~np.isnan(starts[..., 0])
 
     def to_params(w):
         params = RotationParams.from_omega(w)
@@ -557,8 +556,8 @@ def _fit_trials(experiment: RotationExperiment, counts, grid_cache, anchor):
         return [(v.min(), r[np.argmin(v)])
                 for v, r in zip(np.split(vals, cut), np.split(rots, cut))]
 
-    n_rows = [len(w0) for w0 in stacks]
-    best = best_per_trial(*refine(np.vstack(stacks), np.repeat(live, n_rows)), n_rows)
+    n_rows = found.sum(axis=1)
+    best = best_per_trial(*refine(starts[found], np.repeat(live, n_rows)), n_rows)
     if anchor is None:      # base_rot is the identity: the chart point is omega
         n_rows = [len(_RESTARTS)] * len(live)
         w0 = np.vstack([RotationParams.from_so3(rot).omega + _RESTARTS for _, rot in best])
@@ -629,41 +628,87 @@ def _check_optima(experiment: RotationExperiment, estimates, counts):
     return fits, bias, size
 
 
-def _peak_starts(scores, order, cand, grid, n_starts):
-    """Up to n_starts local maxima of ``scores`` (a cell at least as high as
-    each of its 26 grid neighbours), best first, each more than 0.1 rad
-    from the earlier ones, as rows of cand.  The cells are tested
-    _PEAK_BLOCK at a time in the ranking ``order`` (best first), so the
-    rest of the table is tested only when the best cells hold too few
-    peaks."""
+def _select_starts(scores, cand, grid, n_peaks, n_backups):
+    """Newton starts for each trial of the rows of ``scores`` (n, cells), as
+    an (n, n_peaks + n_backups, 3) stack of rows of cand, padded with nan.
+
+    A trial's starts are first its table's peaks, cells at least as high
+    as each of their 26 grid neighbours: best first, each more than 0.1 rad
+    from the earlier ones, at most n_peaks.  Up to n_backups of its best
+    cells follow, each more than 0.35 rad from every earlier start.  Cells
+    go _PEAK_BLOCK at a time, best first, through both greedy picks for
+    every trial at once, one pass per pick: the best block by argpartition,
+    and a further block only for the trials still short of starts, which
+    are then ranked in full."""
     cube, position, offsets = grid
-    padded = np.append(scores, -np.inf)         # index -1: no neighbour
-    starts = []
-    for lo in range(0, len(order), _PEAK_BLOCK):
-        cells = order[lo:lo + _PEAK_BLOCK]
-        neighbours = padded[cube[position[cells][:, None] + offsets]]
-        peaks = cells[(scores[cells][:, None] >= neighbours).all(axis=1)]
-        starts += _spread(cand[peaks].T, starts, n_starts - len(starts), 0.1)
-        if len(starts) == n_starts:
-            break
+    n, n_cells = scores.shape
+    padded = np.hstack([scores, np.full((n, 1), -np.inf)])     # index -1: no neighbour
+    block = min(_PEAK_BLOCK, n_cells)
+    best = np.argpartition(scores, n_cells - block, axis=1)[:, n_cells - block:]
+    best = np.take_along_axis(
+        best, np.argsort(np.take_along_axis(scores, best, axis=1), axis=1)[:, ::-1], axis=1)
+    starts = np.full((n, n_peaks + n_backups, 3), np.nan)
+    n_have = np.zeros(n, dtype=int)
+    for spacing, n_new, peaks_only in ((0.1, n_peaks, True), (0.35, n_backups, False)):
+        trials, ranked, cap = np.arange(n), best, n_have + n_new
+        for lo in range(0, n_cells if n_new else 0, block):
+            if lo == block:
+                ranked = np.argsort(scores[trials], axis=1)[:, ::-1]
+            cells = ranked[:, lo:lo + block]
+            free = np.ones(cells.shape, dtype=bool)
+            if peaks_only:
+                neighbours = cube[position[cells][..., None] + offsets]
+                free = (padded[trials[:, None], cells][..., None]
+                        >= padded[trials[:, None, None], neighbours]).all(axis=-1)
+            points, slot, end = cand[cells], n_have[trials], cap[trials]
+            d = points[:, :, None] - starts[trials, None, :n_have.max()]
+            free &= ~(np.einsum("tbsk,tbsk->tbs", d, d) <= spacing ** 2).any(axis=-1)  # nan: none
+            free[slot >= end] = False
+            while free.any():
+                has = free.any(axis=1)
+                pick = points[np.arange(len(trials)), free.argmax(axis=1)]
+                starts[trials[has], slot[has]] = pick[has]
+                slot += has
+                d = points - pick[:, None]
+                free &= np.einsum("tbk,tbk->tb", d, d) > spacing ** 2
+                free[slot >= end] = False
+            n_have[trials] = slot
+            trials, ranked = trials[slot < end], ranked[slot < end]
+            if not trials.size:
+                break
     return starts
 
 
-def _spread(points, starts, n_new, spacing):
-    """Up to n_new of the columns of ``points`` (3, n), taken in order, each
-    more than ``spacing`` from every start and every earlier pick."""
-    def far(s):
-        d = points - s[:, None]
-        return np.sqrt((d * d).sum(axis=0)) > spacing
+# flat indices (P, Q, R, S) into a 3x3 matrix m whose m[P] m[Q] - m[R] m[S]
+# is the cofactor of entry (i, j): at (i + 1, j + 1), (i + 2, j + 2),
+# (i + 1, j + 2) and (i + 2, j + 1), mod 3
+_COFACTOR_INDEX = np.array([[3 * ((i + a) % 3) + (j + b) % 3 for i in range(3) for j in range(3)]
+                            for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))])
 
-    free = np.ones(points.shape[1], dtype=bool)
-    for s in starts:
-        free &= far(s)
-    picks = []
-    while len(picks) < n_new and free.any():
-        picks.append(points[:, np.argmax(free)])
-        free &= far(picks[-1])
-    return picks
+
+def _newton_steps(curvature, grad, information):
+    """Newton steps (m, 3) that solve c . step = grad for a stack of
+    observed informations ``curvature`` (m, 3, 3), -hess, and gradients
+    (m, 3), by the adjugate over the determinant.  c is -hess where that is
+    positive definite by Sylvester's leading minors, else the expected
+    information ``information(rows)`` of those rows, built for them alone;
+    a non-finite -hess is kept, so that its step is non-finite.  Returns
+    the steps and the singular rows (c of determinant 0), whose steps are
+    not finite."""
+    def cofactors(m):       # flattened; for a symmetric m, its adjugate
+        f = m.reshape(-1, 9)
+        p, q, r, s = _COFACTOR_INDEX
+        cof = f[:, p] * f[:, q] - f[:, r] * f[:, s]
+        return cof, (f[:, :3] * cof[:, :3]).sum(axis=1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cof, det = cofactors(curvature)
+        concave = (curvature[:, 0, 0] > 0.0) & (cof[:, 8] > 0.0) & (det > 0.0)
+        scored = ~concave & np.isfinite(det)
+        if scored.any():
+            cof[scored], det[scored] = cofactors(information(scored))
+        step = np.einsum("mkl,ml->mk", cof.reshape(-1, 3, 3), grad) / det[:, None]
+    return step, det == 0.0
 
 
 def _newton_fit(kernel: BornKernel, counts, shots, w0, base_psi, base_rot):
@@ -675,6 +720,10 @@ def _newton_fit(kernel: BornKernel, counts, shots, w0, base_psi, base_rot):
     outcome's stage total for the expected information of a Fisher-scoring
     step, broadcasts against it.  Rows iterate together but independently:
     each halves its own step and stops once its step is below _NEWTON_TOL.
+
+    Steps come from _newton_steps, and each iteration rotates the SO(3)
+    matrices of the rows that moved once, by their accepted steps.
+
     Returns -loglik (m,) and the SO(3) matrices (m, 3, 3) at the optima; a
     start that does not converge logs why at debug level and gets -loglik
     nan."""
@@ -690,23 +739,17 @@ def _newton_fit(kernel: BornKernel, counts, shots, w0, base_psi, base_rot):
         p = np.maximum(p, 1e-300)
         ratio = counts / p
         grad = np.einsum("kmx,mx->mk", dp, ratio)
-        hess = (np.einsum("klmx,mx->mkl", d2p, ratio)
-                - np.einsum("kmx,lmx,mx->mkl", dp, dp, ratio / p))
-        fisher = np.einsum("kmx,lmx,mx->mkl", dp, dp, shots / p)
-        # -hess where it is positive definite, else Fisher scoring; a
-        # non-finite -hess is kept, so that its step is non-finite
-        finite = np.isfinite(hess).all(axis=(1, 2))[:, None, None]
-        concave = np.linalg.eigvalsh(np.where(finite, -hess, np.eye(3)))[:, :1, None] > 0.0
-        curvature = np.where(concave | ~finite, -hess, fisher)
-        singular = np.linalg.det(curvature) == 0.0
-        for i in live[singular]:
-            why[i] = "singular curvature"
-        step = np.full_like(grad, np.nan)
-        step[~singular] = np.linalg.solve(curvature[~singular], grad[~singular, :, None])[..., 0]
-        moving = np.all(np.isfinite(step), axis=1)
-        for i in live[~moving]:
-            why.setdefault(i, "non-finite step")
-        done = moving & (np.linalg.norm(step, axis=1) < _NEWTON_TOL)
+        curvature = (np.einsum("kmx,lmx,mx->mkl", dp, dp, ratio / p)
+                     - np.einsum("klmx,mx->mkl", d2p, ratio))
+        step, singular = _newton_steps(curvature, grad, lambda rows: np.einsum(
+            "kmx,lmx,mx->mkl", dp[:, rows], dp[:, rows], shots[rows] / p[rows]))
+        moving = np.isfinite(step).all(axis=1)
+        if not moving.all():
+            for i in live[singular]:
+                why[i] = "singular curvature"
+            for i in live[~moving]:
+                why.setdefault(i, "non-finite step")
+        done = moving & (np.einsum("mk,mk->m", step, step) < _NEWTON_TOL ** 2)
         neg_ll[live[done]], rots[live[done]] = -value[done], rot[done]
         moving &= ~done
         pending = np.flatnonzero(moving)        # halve each step until no drop
@@ -718,16 +761,18 @@ def _newton_fit(kernel: BornKernel, counts, shots, w0, base_psi, base_rot):
             ok = trial_value >= value[pending] - 1e-12 * np.abs(value[pending])  # rounding
             took = pending[ok]
             psi[took], value[took] = trial[ok], trial_value[ok]
-            rot[took] = omega_so3(step[took]) @ rot[took]
             pending = pending[~ok]
             step[pending] /= 2.0
-        for i in live[pending]:
-            why[i] = f"log-likelihood still drops after {_MAX_HALVINGS} step halvings"
-        moving[pending] = False
-        live, psi, value, rot = live[moving], psi[moving], value[moving], rot[moving]
-        counts, shots = counts[moving], shots[moving]
-        if not live.size:
-            break
+        if pending.size:
+            for i in live[pending]:
+                why[i] = f"log-likelihood still drops after {_MAX_HALVINGS} step halvings"
+            moving[pending] = False
+        rot[moving] = omega_so3(step[moving]) @ rot[moving]
+        if not moving.all():
+            live, psi, value, rot = live[moving], psi[moving], value[moving], rot[moving]
+            counts, shots = counts[moving], shots[moving]
+            if not live.size:
+                break
     for i in live:
         why[i] = f"no convergence in {_NEWTON_MAX_ITER} iterations"
     for i in sorted(why):
@@ -815,9 +860,10 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
     trial's expected information, is dropped and counted in n_failed,
     although ml_estimate accepts its fit.  Which trials drop depends on
     where their estimates land, so the drop trims the sample: on a J = 3
-    King about 2% of trials at 500 shots.  At 300 shots about 8% drop, more
-    than the 5% a study tolerates, so such a study raises
-    UnreliableRunError, whose message counts the dropped trials.
+    King about 2% of trials at 500 shots, which a study that succeeds
+    reports in a logged warning.  At 300 shots about 8% drop, more than the
+    5% a study tolerates, so such a study raises UnreliableRunError, whose
+    message counts the dropped trials.
     """
     if n_trials < 2:
         raise DomainError("need at least 2 trials")
@@ -857,6 +903,10 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
             + (f", {n_capped} of them for a second-order bias not small against the "
                f"bound (sqrt(b^T I b) > {_MAX_BIAS})" if n_capped else ""),
             failed_fraction=n_failed / n_trials)
+    if n_capped:
+        _log.warning("%d of %d trials dropped for a second-order bias not small against the "
+                     "bound (sqrt(b^T I b) > %s); the report's moments come from the rest",
+                     n_capped, n_trials, _MAX_BIAS)
 
     deltas = _residuals(estimates, true_params)     # at least 2: n_trials >= 2, <= 5% failed
     emp_cov = np.cov(deltas.T, ddof=0)

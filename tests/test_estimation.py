@@ -371,6 +371,76 @@ class TestNewtonRefinement:
             assert "no convergence in 0 iterations" in r.getMessage()
             assert "w0 = [" in r.getMessage()
 
+    @staticmethod
+    def _lapack_steps(curvature, grad, fisher):
+        """The Newton step by LAPACK, as the fit took it before its closed
+        form: -hess where eigvalsh finds it positive definite or where it
+        is not finite, else Fisher scoring; no step where det is 0.
+        Returns the steps, the singular rows and the rows scored."""
+        finite = np.isfinite(curvature).all(axis=(1, 2))
+        concave = np.linalg.eigvalsh(np.where(finite[:, None, None], curvature,
+                                              np.eye(3)))[:, 0] > 0.0
+        chosen = np.where((concave | ~finite)[:, None, None], curvature, fisher)
+        step = np.full_like(grad, np.nan)
+        with np.errstate(invalid="ignore"):
+            singular = np.linalg.det(chosen) == 0.0
+            step[~singular] = np.linalg.solve(chosen[~singular], grad[~singular, :, None])[..., 0]
+        return step, singular, ~(concave | ~finite)
+
+    def test_closed_form_step_matches_lapack(self):
+        rng = np.random.default_rng(17)
+        n = 600
+
+        def symmetric(negative):
+            """Random symmetric matrices of condition number at most 100,
+            each eigenvalue negative with probability ``negative``."""
+            q, _ = np.linalg.qr(rng.standard_normal((n, 3, 3)))
+            vals = rng.uniform(0.1, 10.0, (n, 3)) * np.where(rng.random((n, 3)) < negative, -1, 1)
+            scale = 10.0 ** rng.integers(-3, 6, n)[:, None, None]
+            return scale * np.einsum("mij,mj,mkj->mik", q, vals, q)
+
+        curvature, fisher = symmetric(0.3), symmetric(0.0)
+        grad = rng.standard_normal((n, 3))
+        # exactly singular information: an unobserved direction, or two equal ones
+        fisher[0:40, 1, :] = fisher[0:40, :, 1] = 0.0
+        fisher[40:80] = np.array([[2.0, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+        curvature[0:80] = -np.abs(curvature[0:80])                  # not concave: scored
+        # non-finite observed information; LAPACK solves an infinite
+        # diagonal entry to its finite limit, which the closed form does not
+        curvature[80:90, 0, 1] = curvature[80:90, 1, 0] = np.nan
+        curvature[90:100, 2, 2] = np.inf
+        expect, expect_singular, expect_scored = self._lapack_steps(curvature, grad, fisher)
+        asked = []
+
+        def information(rows):
+            asked.append(rows)
+            return fisher[rows]
+
+        step, singular = estimation._newton_steps(curvature.copy(), grad, information)
+        # the information is built once, for exactly the rows LAPACK scores
+        (scored,) = asked
+        assert np.array_equal(scored, expect_scored)
+        assert 0 < scored[100:].sum() < n - 100           # both kinds of step
+        assert np.array_equal(singular, expect_singular) and singular[:80].all()
+        # the reasons a row stops on: singular curvature, else a non-finite step
+        finite = np.isfinite(step).all(axis=1)
+        assert not finite[:100].any() and finite[100:].all()
+        compare = np.r_[0:90, 100:n]
+        assert np.array_equal(finite[compare], np.isfinite(expect[compare]).all(axis=1))
+        err = np.linalg.norm(step[finite] - expect[finite], axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(expect[finite], axis=1))
+
+    @pytest.mark.parametrize("protocol", ["king_j3", "gps_j2"])
+    def test_closed_form_fit_matches_lapack_fit(self, protocol, monkeypatch):
+        exp, kwargs, trials = PROTOCOLS[protocol](4)
+        counts, table = _stacked(trials), _table(exp, kwargs)
+        closed, _, _ = estimation._fit_trials(exp, counts, table, kwargs.get("anchor"))
+        monkeypatch.setattr(estimation, "_newton_steps",
+                            lambda c, g, info: self._lapack_steps(c, g, info(slice(None)))[:2])
+        lapack, _, _ = estimation._fit_trials(exp, counts, table, kwargs.get("anchor"))
+        assert _max_angle_diff([f.as_array() for f in closed],
+                               [f.as_array() for f in lapack]) < 1e-12
+
 
 class TestTrialStack:
     """monte_carlo_qcrb fits its trials in chunks, each one stack of
@@ -458,8 +528,8 @@ class TestPeakStarts:
 
     @staticmethod
     def _starts(scores, cand, grid, n_starts):
-        order = np.argsort(scores)[::-1]
-        return np.array(estimation._peak_starts(scores, order, cand, grid, n_starts))
+        (starts,) = estimation._select_starts(scores[None], cand, grid, n_starts, 0)
+        return starts[~np.isnan(starts[:, 0])]
 
     def test_global_lattice(self, demo_j2_state):
         cand, _, grid = grid_probability_table(husimi_experiment(demo_j2_state,
@@ -498,6 +568,92 @@ class TestPeakStarts:
         estimation._fit_trials(exp, _stacked(trials), _table(exp, kwargs), kwargs["anchor"])
         (args,) = fits
         assert len(args[3]) == len(trials)
+
+    @staticmethod
+    def _reference_starts(scores, cand, grid, n_peaks, n_backups):
+        """A trial's starts as they were picked one trial at a time: peaks
+        _PEAK_BLOCK cells at a time down the full ranking, then backups from
+        the best block, or from the full ranking when that block holds too
+        few."""
+        cube, position, offsets = grid
+        order = np.argsort(scores)[::-1]
+        padded = np.append(scores, -np.inf)
+
+        def spread(points, starts, n_new, spacing):
+            def far(s):
+                d = points - s[:, None]
+                return np.sqrt((d * d).sum(axis=0)) > spacing
+
+            free = np.ones(points.shape[1], dtype=bool)
+            for s in starts:
+                free &= far(s)
+            picks = []
+            while len(picks) < n_new and free.any():
+                picks.append(points[:, np.argmax(free)])
+                free &= far(picks[-1])
+            return picks
+
+        starts = []
+        for lo in range(0, len(order), estimation._PEAK_BLOCK):
+            cells = order[lo:lo + estimation._PEAK_BLOCK]
+            neighbours = padded[cube[position[cells][:, None] + offsets]]
+            peaks = cells[(scores[cells][:, None] >= neighbours).all(axis=1)]
+            starts += spread(cand[peaks].T, starts, n_peaks - len(starts), 0.1)
+            if len(starts) == n_peaks:
+                break
+        if n_backups:
+            backups = spread(cand[order[:estimation._PEAK_BLOCK]].T, starts, n_backups, 0.35)
+            if len(backups) < n_backups:
+                backups = spread(cand[order].T, starts, n_backups, 0.35)
+            starts += backups
+        return np.array(starts)
+
+    def _assert_matches_reference(self, scores, cand, grid, n_peaks, n_backups):
+        batched = estimation._select_starts(scores, cand, grid, n_peaks, n_backups)
+        counts = []
+        for row, starts in zip(scores, batched):
+            expect = self._reference_starts(row, cand, grid, n_peaks, n_backups)
+            assert np.array_equal(starts[~np.isnan(starts[:, 0])], expect)
+            counts.append(len(expect))
+        return counts
+
+    def test_batched_selection_matches_per_trial(self, demo_j2_state, king3):
+        rng = np.random.default_rng(29)
+        cand, _, grid = grid_probability_table(husimi_experiment(demo_j2_state,
+                                                                 GPS_J2_DIRECTIONS))
+
+        def bumps(points, n_bumps, width, noise):
+            # centres off the lattice, so that no two cells tie
+            centres = (points[rng.integers(len(points), size=n_bumps)]
+                       + rng.normal(0.0, 0.01, (n_bumps, 3)))
+            heights = rng.uniform(0.0, 3.0, n_bumps)
+            heights[0] += 10.0                       # one bump holds the best cells
+            dist = np.sum((points[:, None] - centres[None]) ** 2, axis=-1)
+            return (np.max(heights - dist / width ** 2, axis=1)
+                    + noise * rng.standard_normal(len(points)))
+
+        # narrow bumps: the best block holds one peak, so the peak search
+        # walks further blocks, which hold fewer than 8 peaks or more; wide
+        # noisy bumps: the best block holds more than 8
+        scores = np.array([bumps(cand, k, 0.5, 0.0) for k in (1, 3, 9, 40)]
+                          + [bumps(cand, 4, 2.0, 0.3) for _ in range(3)])
+        counts = self._assert_matches_reference(scores, cand, grid, 8, 4)
+        assert counts[0] == 1 + 4 and 1 + 4 < counts[1] < 8 + 4
+        assert counts[2:] == [8 + 4] * 5
+        # a fine lattice whose best block lies within 0.35 rad of the best
+        # peak, so the backups walk further blocks as well; its step puts no
+        # two cells exactly 0.1 or 0.35 apart, where rounding would decide
+        ijk = np.indices((15, 15, 15)).reshape(3, -1)
+        fine = 0.047 * ijk.T.astype(float)
+        fine_grid = estimation._neighbour_grid(ijk, (15, 15, 15))
+        scores = np.array([bumps(fine, k, 0.2, 0.0) for k in (1, 2, 6)])
+        assert self._assert_matches_reference(scores, fine, fine_grid, 8, 4)[0] == 1 + 4
+        # the shipped protocols' trials
+        for protocol, n_peaks, n_backups in (("gps_j2", 8, 4), ("king_j3", 4, 0)):
+            exp, kwargs, trials = PROTOCOLS[protocol](6)
+            cand, tables, grid = _table(exp, kwargs)
+            scores = _stacked(trials) @ np.log(np.maximum(np.hstack(tables), 1e-300)).T
+            self._assert_matches_reference(scores, cand, grid, n_peaks, n_backups)
 
 
 def _cox_snell_by_differences(exp, probe, point, n_shots, h):
@@ -581,12 +737,17 @@ class TestCoxSnellBias:
         assert out.failed_fraction == capped.sum() / 100
         assert f", {capped.sum()} of them for a second-order bias" in str(out)
 
-    def test_bias_cap_trims_a_study_at_500_shots(self, king3, monkeypatch):
-        rep, plain, size = self._king_study(king3, monkeypatch, 500)
+    def test_bias_cap_trims_a_study_at_500_shots(self, king3, monkeypatch, caplog):
+        with caplog.at_level(logging.WARNING, logger="spinsense"):
+            rep, plain, size = self._king_study(king3, monkeypatch, 500)
         capped = size > estimation._MAX_BIAS
         assert all(isinstance(f, RotationParams) for f in plain)
         assert isinstance(rep, EstimationReport)
         assert rep.n_failed == capped.sum() > 0
+        # the trimmed sample is not silent
+        (warning,) = [r for r in caplog.records if r.name == "spinsense"]
+        assert warning.levelno == logging.WARNING
+        assert warning.getMessage().startswith(f"{capped.sum()} of 100 trials dropped")
 
 
 class TestEstimatorStats:
@@ -684,6 +845,62 @@ class TestBornKernel:
                        + p_at(-e2[k] - e2[l])) / (4.0 * 5e-5 ** 2)
                 assert np.max(np.abs(fd2 - d2p[k, l])) < 1e-6
 
+    @pytest.mark.parametrize("twice_j", [6, 10, 20, 120])
+    def test_complement_is_clipped_at_zero(self, twice_j):
+        # at a PVM's own reference state the "rest" outcome has probability
+        # 0, which 1 - sum(others) can miss by a few ulps in either sign
+        king = king_state(HalfInt(twice_j))
+        for state in (king, king.rotate(RotationParams(0.6, 0.9, 2.6))):
+            model = optimal_pvm(state)
+            p = model.probabilities(state)
+            assert p.min() >= 0.0 and p[-1] < 1e-14
+            assert simulate_shots(model, state, 10_000, 3).counts[-1] == 0
+
+    @pytest.mark.parametrize("twice_j", [6, 20, 60, 120])
+    def test_complement_matches_factored_outcomes(self, twice_j):
+        # a zero element appended to every model makes the kernel factor
+        # each real outcome, the last one included; the subtracted outcomes
+        # must agree with those to rounding, near the truth and near each
+        # stage's reference, where the "rest" probability nears 0
+        probe, truth = king_state(HalfInt(twice_j)), RotationParams(0.8, 1.1, 2.3)
+        exp = optimal_pvm_experiment(probe, truth)
+        husimi = husimi_design(probe.j, GPS_J2_DIRECTIONS)
+        offset = min(0.1, 1.0 / twice_j)
+        units = [u / np.linalg.norm(u) for u in estimation._OFFSET_AXES]
+        points = [truth] + [compose(truth, RotationParams.from_omega(offset * u)) for u in units]
+        rng = np.random.default_rng(11)
+        psi = np.array([omega_rotate(probe.j, scale * rng.standard_normal(3),
+                                     omega_rotate(probe.j, q.omega, probe.amps))
+                        for q in points for scale in (0.0, 1e-4, 1e-2)])
+        for stages in (exp.stages, husimi):
+            kernel = estimation.BornKernel([m.elements for m in stages])
+            zero = np.zeros((probe.j.dim, probe.j.dim))
+            factored = estimation.BornKernel([m.elements + (zero,) for m in stages])
+            real = np.concatenate([np.arange(len(m.elements)) + k * (len(m.elements) + 1)
+                                   for k, m in enumerate(stages)])
+            got, want = kernel.derivatives(psi, True), factored.derivatives(psi, True)
+            for order, (a, b) in enumerate(zip(got, want)):
+                assert np.max(np.abs(a - b[..., real])) < 1e-13 * twice_j ** order
+            assert kernel._ops_f.shape[-1] == (8 if stages is exp.stages else 4)
+
+    def test_one_element_model(self, demo_j2_state):
+        # a one-element model is its own complement and has no factor columns
+        dim = demo_j2_state.j.dim
+        proj = np.outer(DEMO_J2_AMPS, DEMO_J2_AMPS.conj()) / np.vdot(DEMO_J2_AMPS, DEMO_J2_AMPS)
+        turned = demo_j2_state.rotate(RotationParams(0.4, 1.0, 2.0))
+        psi = np.array([demo_j2_state.amps, turned.amps])
+        alone = estimation.BornKernel([[np.eye(dim)]])
+        assert alone._ops_f.shape[-1] == 0
+        p, dp, d2p = alone.derivatives(psi, second=True)
+        assert np.array_equal(p, np.ones((2, 1)))
+        assert not dp.any() and not d2p.any()
+        mixed = estimation.BornKernel([[proj, np.eye(dim) - proj], [np.eye(dim)]])
+        p, dp, d2p = mixed.derivatives(psi, second=True)
+        assert mixed._ops_f.shape[-1] == 1
+        assert np.array_equal(p[:, 2], [1.0, 1.0]) and not dp[..., 2].any()
+        assert abs(p[0, 0] - 1.0) < 1e-14
+        assert abs(p[1, 0] - abs(np.vdot(psi[0], psi[1])) ** 2) < 1e-14
+
 
 class TestFisherSaturation:
     def test_experiment_fi_tracks_qfi(self, king3):
@@ -712,6 +929,16 @@ class TestFisherSaturation:
         assert ratio() <= 1.1
         if twice_j >= 20:       # an explicit offset is still honoured
             assert ratio(offset_angle=0.1) > 1.1
+
+    @pytest.mark.parametrize("twice_j", [8, 20, 40, 60, 120])
+    def test_king_study_saturates_the_bound_as_j_grows(self, twice_j):
+        # the trial count, shots and seed were fixed before the first run;
+        # the gate is three standard errors of a sample variance, so a
+        # fixed 0.1 rad offset, which loses a factor 2 at 2J = 40, fails it
+        n_trials = 200
+        rep = monte_carlo_qcrb(king_state(HalfInt(twice_j)), RotationParams(0.8, 1.1, 2.3),
+                               "optimal_pvm", 10_000, n_trials, 3)
+        assert rep.trace_ratio <= 1.0 + 3.0 * math.sqrt(2.0 / (n_trials - 1))
 
     def test_husimi_fi_bounded_by_qfi(self, demo_j2_state, king3):
         # PSD ordering F <= Q for sampled binary designs
