@@ -26,8 +26,8 @@ from .errors import (DegenerateInputError, DomainError, NonIdentifiableError,
 from .metrology import (_PROB_FLOOR, PARAM_LABELS_SPHERICAL, QfiMatrix, _finish_fi_matrix,
                         _rank_split, crb, qfi_rotation_matrix)
 from .states import SpinState, coherent_state
-from .su2 import (TWO_PI, HalfInt, RotationParams, compose, generator_frame,
-                  make_operators, omega_rotate, omega_so3, rotation_unitary, so3_matrix)
+from .su2 import (TWO_PI, HalfInt, RotationParams, compose, generator_frame, make_operators,
+                  omega_rotate, omega_so3, omega_spherical, rotation_unitary, so3_omega)
 
 _PSD_TOL = 1e-10
 _COMPLETENESS_TOL = 1e-9
@@ -461,7 +461,8 @@ def ml_estimate(records, experiment: RotationExperiment, grid_cache=None,
     negative definite), each step a closed-form 3x3 solve, and step halving
     until the log-likelihood does not drop; a start converges once its
     Newton step is below 1e-10 rad.  A start that does not converge is
-    refined by Nelder-Mead instead.
+    refined by Nelder-Mead instead, in the same chart: it maximizes the
+    log-likelihood of exp(-i J.w) psi_base over w from w0.
 
     Probes with a nontrivial rotational stabilizer (NOON, balanced, Kings)
     make the *global* likelihood exactly periodic under the stabilizer, so
@@ -484,20 +485,21 @@ def ml_estimate(records, experiment: RotationExperiment, grid_cache=None,
     bound sigma above 0.35 rad there raises NonIdentifiableError.
 
     The result is the plain maximum-likelihood estimate, with its O(1/N)
-    bias; monte_carlo_qcrb fits many trials through the same code at once,
-    one stack of (trial, start) rows per chunk of trials, so that each
-    trial gets the estimate it gets here alone, and then subtracts each
-    trial's bias.
+    bias, built from the optimum's rotation vector; monte_carlo_qcrb fits
+    many trials through the same code at once, one stack of (trial, start)
+    rows per chunk of trials, so that each trial gets the estimate it gets
+    here alone, and then subtracts each trial's bias.
     """
     counts_list = [np.asarray(getattr(r, "counts", r), dtype=float) for r in records]
     if len(counts_list) != len(experiment.stages):
         raise DomainError("need one record per measurement stage")
     if grid_cache is None:
         grid_cache = grid_probability_table(experiment, anchor=anchor)
-    (fit,), _, _ = _fit_trials(experiment, np.concatenate(counts_list)[None], grid_cache, anchor)
-    if isinstance(fit, NonIdentifiableError):
-        raise fit
-    return fit
+    omega, errors, _, _ = _fit_trials(experiment, np.concatenate(counts_list)[None], grid_cache,
+                                      anchor)
+    if errors:
+        raise errors[0]
+    return RotationParams.from_omega(omega[0])
 
 
 def _fit_trials(experiment: RotationExperiment, counts, grid_cache, anchor):
@@ -505,80 +507,74 @@ def _fit_trials(experiment: RotationExperiment, counts, grid_cache, anchor):
     the stages' counts concatenated.  Every trial's starts go through one
     _newton_fit stack of (trial, start) rows, and without an anchor every
     trial's restarts through a second; the checks at the optima are one
-    batched pass (_check_optima).  Returns one entry per trial: its
-    RotationParams, or the NonIdentifiableError that rejects it, so that a
-    failing trial fails alone; and, from _check_optima, each trial's
+    batched pass (_check_optima).  Returns each trial's optimum as a
+    rotation vector (n, 3), nan for a rejected trial; {trial: the
+    NonIdentifiableError that rejects it} for the rejected trials alone, so
+    that a failing trial fails alone; and, from _check_optima, each trial's
     Cox-Snell bias (n, 3) and its size (n,), nan for a flat trial."""
     kernel = experiment.kernel
     cand, per_stage, grid = grid_cache
     # every trial's score of every cell
     scores = counts @ np.log(np.maximum(np.hstack(per_stage), 1e-300)).T
     if anchor is not None:
-        base_psi, base_rot = experiment.rotated_amps(anchor), so3_matrix(anchor)
+        base_psi, base_rot = experiment.rotated_amps(anchor), omega_so3(anchor.omega)
         n_peaks, n_backups = 4, 0         # the local problem is well seeded
     else:
         base_psi, base_rot = experiment.probe.amps, np.eye(3)
         n_peaks, n_backups = 8, 4
-    bias, size = np.full((len(counts), 3), np.nan), np.full(len(counts), np.nan)
+    omega, bias = np.full((len(counts), 3), np.nan), np.full((len(counts), 3), np.nan)
+    size = np.full(len(counts), np.nan)
     flat = scores.max(axis=1) - scores.min(axis=1) < 1e-12
-    fits = [NonIdentifiableError("likelihood is flat across the parameter grid") if f else None
-            for f in flat]
+    errors = {int(t): NonIdentifiableError("likelihood is flat across the parameter grid")
+              for t in np.flatnonzero(flat)}
     live = np.flatnonzero(~flat)
     if not live.size:
-        return fits, bias, size
+        return omega, errors, bias, size
     starts = _select_starts(scores[live], cand, grid, n_peaks, n_backups)
     found = ~np.isnan(starts[..., 0])
-
-    def to_params(w):
-        params = RotationParams.from_omega(w)
-        return params if anchor is None else compose(anchor, params)
 
     # each outcome's stage total, for the expected information of a
     # Fisher-scoring step
     shots = np.hstack([np.broadcast_to(c.sum(axis=1, keepdims=True), c.shape)
                        for c in np.split(counts, kernel.splits, axis=1)])
 
-    def refine(w0, rows):
-        """-loglik and SO(3) matrix at the optimum each start of the stack w0
-        reaches on the counts of trial rows[i]; Nelder-Mead refines the starts
-        that Newton leaves, each on its own trial's counts."""
+    def refine(w0, n_rows):
+        """-loglik and SO(3) matrix at each live trial's best optimum, its
+        n_rows[i] starts consecutive rows of the stack w0; Nelder-Mead refines
+        the starts Newton leaves, in Newton's chart, on their own trials' counts."""
+        rows = np.repeat(live, n_rows)
         vals, rots = _newton_fit(kernel, counts[rows], shots[rows], w0, base_psi, base_rot)
         for i in np.flatnonzero(np.isnan(vals)):
-            counts_list = np.split(counts[rows[i]], kernel.splits)
-            res = minimize(lambda w: -experiment.loglik(counts_list, to_params(w)), w0[i],
-                           method="Nelder-Mead",
+            res = minimize(lambda w: -kernel.loglik(counts[rows[i]],
+                                                    omega_rotate(kernel.j, w, base_psi)),
+                           w0[i], method="Nelder-Mead",
                            options={"xatol": 1e-7, "fatol": 1e-7, "maxiter": 600})
-            vals[i], rots[i] = res.fun, so3_matrix(to_params(res.x))
-        return vals, rots
+            vals[i], rots[i] = res.fun, omega_so3(res.x) @ base_rot
+        # each trial's rows by value, the first on a tie, as argmin takes it
+        best = np.lexsort((vals, rows))[np.cumsum(n_rows) - n_rows]
+        return vals[best], rots[best]
 
-    def best_per_trial(vals, rots, n_rows):
-        cut = np.cumsum(n_rows)[:-1]
-        return [(v.min(), r[np.argmin(v)])
-                for v, r in zip(np.split(vals, cut), np.split(rots, cut))]
-
-    n_rows = found.sum(axis=1)
-    best = best_per_trial(*refine(starts[found], np.repeat(live, n_rows)), n_rows)
+    val, rot = refine(starts[found], found.sum(axis=1))
     if anchor is None:      # base_rot is the identity: the chart point is omega
-        n_rows = [len(_RESTARTS)] * len(live)
-        w0 = np.vstack([RotationParams.from_so3(rot).omega + _RESTARTS for _, rot in best])
-        restarts = best_per_trial(*refine(w0, np.repeat(live, n_rows)), n_rows)
-        best = [again if again[0] < val - 1e-9 else (val, rot)
-                for (val, rot), again in zip(best, restarts)]
-    estimates = [RotationParams.from_so3(rot) for _, rot in best]
+        w0 = (so3_omega(rot)[:, None] + _RESTARTS).reshape(-1, 3)
+        again, rot_again = refine(w0, np.full(len(live), len(_RESTARTS)))
+        rot = np.where((again < val - 1e-9)[:, None, None], rot_again, rot)
+    omega[live] = so3_omega(rot)
 
-    checked, bias[live], size[live] = _check_optima(experiment, estimates, counts[live])
-    for t, fit in zip(live, checked):
-        fits[t] = fit
-    return fits, bias, size
+    rejected, bias[live], size[live] = _check_optima(experiment, omega[live], counts[live])
+    for i, err in rejected.items():
+        errors[int(live[i])] = err
+        omega[live[i]] = np.nan
+    return omega, errors, bias, size
 
 
-def _check_optima(experiment: RotationExperiment, estimates, counts):
-    """One batched pass at the optima ``estimates`` of the trials in the
-    rows of ``counts``, from one derivative stack.  Returns:
+def _check_optima(experiment: RotationExperiment, omega, counts):
+    """One batched pass at the optima ``omega`` (n, 3), rotation vectors, of
+    the trials in the rows of ``counts``, from one derivative stack.  Returns:
 
-    - each trial's estimate, or the NonIdentifiableError that a singular
-      information matrix at it, or a bound sigma above 0.35 rad, calls for;
-    - its Cox-Snell bias b (n, 3) in the local chart at the estimate;
+    - {row: NonIdentifiableError} for the rows that a singular information
+      matrix at the optimum, or a bound sigma above 0.35 rad, rejects;
+    - each row's Cox-Snell bias b (n, 3) in the local chart at the optimum;
     - sqrt(b^T I b) (n,), the bias in units of the bound.
 
     With l the log-likelihood of the trial's shots, I its expected
@@ -591,11 +587,10 @@ def _check_optima(experiment: RotationExperiment, estimates, counts):
     stage share of the trial's shots; outcomes at or below _PROB_FLOOR are
     dropped, as in fisher_information."""
     kernel = experiment.kernel
-    omega = np.array([e.omega for e in estimates])
     p, dp, d2p = kernel.derivatives(omega_rotate(kernel.j, omega, experiment.probe.amps),
                                     second=True)
     # per shot, in the local chart and in (theta, cap_theta, cap_phi)
-    fi, fi_sph = experiment._fisher_stack(p, dp, np.array([e.as_array() for e in estimates]))
+    fi, fi_sph = experiment._fisher_stack(p, dp, omega_spherical(omega))
     fi_sph, _, vecs, null = _rank_split(fi_sph)
     # a technically full-rank matrix can still leave a parameter with
     # macroscopic uncertainty (coordinate singularity at theta ~ 0: the
@@ -608,24 +603,22 @@ def _check_optima(experiment: RotationExperiment, estimates, counts):
     fi_inv = np.linalg.pinv(fi)
     bias = np.einsum("msr,mtu,mrtu->ms", fi_inv, fi_inv, bracket) / total_shots[:, None]
     size = np.sqrt(np.maximum(total_shots * np.einsum("mk,mkl,ml->m", bias, fi, bias), 0.0))
-    fits = []
-    for i, estimate in enumerate(estimates):
+    unresolved = sigmas > _MIN_RESOLUTION
+    errors = {}
+    for i in np.flatnonzero(null.any(axis=1) | unresolved.any(axis=1)):
         if null[i].any():
-            fits.append(NonIdentifiableError(
+            errors[int(i)] = NonIdentifiableError(
                 f"information matrix at the optimum is rank {3 - int(null[i].sum())}; "
                 "parameters are not jointly identifiable",
-                null_directions=vecs[i][:, null[i]]))
-        elif np.any(sigmas[i] > _MIN_RESOLUTION):
-            fits.append(NonIdentifiableError(
+                null_directions=vecs[i][:, null[i]])
+        else:
+            errors[int(i)] = NonIdentifiableError(
                 "parameters "
-                + ", ".join(l for l, s in zip(PARAM_LABELS_SPHERICAL, sigmas[i])
-                            if s > _MIN_RESOLUTION)
+                + ", ".join(l for l, u in zip(PARAM_LABELS_SPHERICAL, unresolved[i]) if u)
                 + " are unresolved at the data's information level "
                 f"(bound sigma {sigmas[i].max():.2f} rad)",
-                null_directions=vecs[i][:, :1]))
-        else:
-            fits.append(estimate)
-    return fits, bias, size
+                null_directions=vecs[i][:, :1])
+    return errors, bias, size
 
 
 def _select_starts(scores, cand, grid, n_peaks, n_backups):
@@ -790,7 +783,8 @@ def estimator_stats(estimates, true_params: RotationParams):
     pi - cap_theta, cap_phi + pi) lies nearer the truth, and azimuthal
     residuals are wrapped into (-pi, pi].
     """
-    deltas = _residuals(estimates, true_params)
+    deltas = _residuals(np.vstack([e.as_array() if isinstance(e, RotationParams) else e
+                                   for e in estimates]).astype(float), true_params)
     if deltas.shape[0] < 2:
         raise DomainError("need at least 2 estimates")
     return _residual_moments(deltas, true_params.as_array())
@@ -814,24 +808,19 @@ def _residual_moments(deltas: np.ndarray, truth: np.ndarray) -> dict:
     }
 
 
-def _residuals(estimates, true_params: RotationParams) -> np.ndarray:
-    """Estimates minus the truth, with cap_phi wrapped into (-pi, pi].
+def _residuals(arr: np.ndarray, true_params: RotationParams) -> np.ndarray:
+    """Estimates ``arr`` (n, 3), (theta, cap_theta, cap_phi) triples, minus
+    the truth, with cap_phi wrapped into (-pi, pi].
 
     (theta, cap_theta, cap_phi) and (2 pi - theta, pi - cap_theta,
     cap_phi + pi) are the same rotation; each estimate is taken in whichever
     form lies nearer the truth, so that near theta = pi the residuals do not
     depend on the form a fit returns."""
-    arr = np.vstack([e.as_array() if isinstance(e, RotationParams) else np.asarray(e, dtype=float)
-                     for e in estimates])
     twin = np.column_stack([TWO_PI - arr[:, 0], math.pi - arr[:, 1], arr[:, 2] + math.pi])
-    truth = true_params.as_array()
-    deltas = []
-    for a in (arr, twin):
-        d = a - truth[None, :]
-        d[:, 2] = (d[:, 2] + math.pi) % TWO_PI - math.pi
-        deltas.append(d)
-    nearer = np.sum(deltas[1] ** 2, axis=1) < np.sum(deltas[0] ** 2, axis=1)
-    return np.where(nearer[:, None], deltas[1], deltas[0])
+    d = np.stack([arr, twin]) - true_params.as_array()
+    d[..., 2] = (d[..., 2] + math.pi) % TWO_PI - math.pi
+    nearer = np.sum(d[1] ** 2, axis=1) < np.sum(d[0] ** 2, axis=1)
+    return np.where(nearer[:, None], d[1], d[0])
 
 
 def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
@@ -849,13 +838,16 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
     the global lattice.  The trials are then fitted in chunks, each chunk
     one stack of (trial, start) rows that gives every trial the estimate
     ml_estimate gives it alone; a trial that ml_estimate rejects counts in
-    n_failed by itself.  ``offset_angle`` defaults to min(0.1, 1/(2J)).
+    n_failed by itself.  The fits stay an (n, 3) stack of rotation vectors
+    from the Newton stack to the report, with no RotationParams per trial.
+    ``offset_angle`` defaults to min(0.1, 1/(2J)).
 
     The study's estimator is bias-corrected maximum likelihood: each
     trial's MLE less its Cox-Snell bias b, of order 1/N, computed in the
-    local chart at the MLE (see _check_optima).  The plain MLE is biased
-    by about 0.03 sigma in cap_theta at 10^4 shots on a J = 3 King, which a
-    study of tens of thousands of trials resolves.  A trial whose bias is
+    local chart at the MLE (see _check_optima) and subtracted for a whole
+    chunk as so3_omega(omega_so3(-b) @ omega_so3(w)).  The plain MLE is
+    biased by about 0.03 sigma in cap_theta at 10^4 shots on a J = 3 King,
+    which a study of tens of thousands of trials resolves.  A trial whose bias is
     not small against the bound, sqrt(b^T I b) above 0.5 with I the
     trial's expected information, is dropped and counted in n_failed,
     although ml_estimate accepts its fit.  Which trials drop depends on
@@ -889,13 +881,14 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
     chunk = max(1, _STACK_CHUNK // (n_ops * len(_RESTARTS) * width))
     estimates, n_capped = [], 0
     for lo in range(0, n_trials, chunk):
-        fits, bias, size = _fit_trials(experiment, counts[lo:lo + chunk], cache, anchor)
-        fitted = np.array([isinstance(fit, RotationParams) for fit in fits])
+        omega, _, bias, size = _fit_trials(experiment, counts[lo:lo + chunk], cache, anchor)
+        fitted = ~np.isnan(omega[:, 0])
         capped = fitted & (size > _MAX_BIAS)
         n_capped += int(capped.sum())
+        keep = fitted & ~capped
         # the MLE less its Cox-Snell bias, a step -b in the local chart
-        estimates += [RotationParams.from_so3(omega_so3(-b) @ so3_matrix(fit))
-                      for fit, b, keep in zip(fits, bias, fitted & ~capped) if keep]
+        estimates.append(so3_omega(omega_so3(-bias[keep]) @ omega_so3(omega[keep])))
+    estimates = np.vstack(estimates)
     n_failed = n_trials - len(estimates)
     if n_failed > 0.05 * n_trials:
         raise UnreliableRunError(
@@ -908,13 +901,11 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
                      "bound (sqrt(b^T I b) > %s); the report's moments come from the rest",
                      n_capped, n_trials, _MAX_BIAS)
 
-    deltas = _residuals(estimates, true_params)     # at least 2: n_trials >= 2, <= 5% failed
+    deltas = _residuals(omega_spherical(estimates), true_params)  # >= 2: at most 5% failed
     emp_cov = np.cov(deltas.T, ddof=0)
     stats = _residual_moments(deltas, true_params.as_array())
     mean = stats["mean_estimate"]
-    mean_params = RotationParams(min(max(mean[0], 0.0), TWO_PI),
-                                 min(max(mean[1], 0.0), math.pi),
-                                 mean[2] % TWO_PI)
+    mean_params = RotationParams(*np.clip(mean, (0.0, 0.0, -np.inf), (TWO_PI, math.pi, np.inf)))
     trace_ratio = float(np.trace(emp_cov) / np.trace(bound.bound))
     gap = emp_cov - bound.bound
     min_eig = float(np.linalg.eigvalsh(gap)[0])

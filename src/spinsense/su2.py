@@ -166,37 +166,13 @@ class RotationParams:
 
     @classmethod
     def from_omega(cls, omega) -> "RotationParams":
-        """Parameters of the rotation vector omega; |omega| is reduced mod
-        2*pi (a full turn changes the state by a global phase only)."""
-        w = np.asarray(omega, dtype=float)
-        theta = float(np.linalg.norm(w))
-        if theta < 1e-300:
-            return cls(0.0, 0.0, 0.0)
-        n = w / theta
-        theta = theta % TWO_PI
-        return cls(theta, math.acos(min(1.0, max(-1.0, n[2]))), math.atan2(n[1], n[0]) % TWO_PI)
+        """Parameters of the rotation vector omega (see omega_spherical)."""
+        return cls(*omega_spherical(omega))
 
     @classmethod
     def from_so3(cls, matrix) -> "RotationParams":
-        """Axis-angle parameters of a proper rotation matrix (our sign convention).
-
-        theta is the atan2 of |w| = 2 sin(theta), w from the antisymmetric part,
-        and tr - 1 = 2 cos(theta), accurate at any angle; where cos(theta) < 0 the
-        axis comes from the symmetric part (1 - cos(theta)) n n^T, signed by w."""
-        r = np.asarray(matrix, dtype=float)
-        w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-        cos2 = np.trace(r) - 1.0
-        theta = math.atan2(np.linalg.norm(w), cos2)
-        if theta == 0.0:
-            return cls(0.0, 0.0, 0.0)
-        if cos2 >= 0.0:
-            n = w
-        else:
-            sym = (r + r.T - cos2 * np.eye(3)) / 2.0
-            n = sym[:, np.argmax(np.diag(sym))]
-            n = n if n @ w >= 0.0 else -n
-        n = n / np.linalg.norm(n)
-        return cls(theta, math.acos(min(1.0, max(-1.0, n[2]))), math.atan2(n[1], n[0]) % TWO_PI)
+        """Parameters, theta in [0, pi], of a rotation matrix: from_omega of so3_omega."""
+        return cls.from_omega(so3_omega(matrix))
 
 
 @dataclass(frozen=True)
@@ -310,6 +286,38 @@ def omega_so3(omega) -> np.ndarray:
     return c * np.eye(3) + (1.0 - c) * n[..., :, None] * n[..., None, :] + s * nx
 
 
+def so3_omega(rot) -> np.ndarray:
+    """Rotation vector omega = theta n, theta in [0, pi], of an SO(3) matrix, or
+    of each of a stack (..., 3, 3) (result (..., 3)): the inverse of omega_so3.
+    theta is the atan2 of |w| = 2 sin(theta), w from the antisymmetric part, and
+    tr - 1 = 2 cos(theta), accurate at any angle; where cos(theta) < 0 the axis
+    comes from the symmetric part (1 - cos(theta)) n n^T, signed by w."""
+    r = np.asarray(rot, dtype=float)
+    w = np.einsum("ijk,...kj->...i", _LEVI_CIVITA, r)      # w_i = r_kj - r_jk
+    cos2 = np.trace(r, axis1=-2, axis2=-1)[..., None] - 1.0
+    theta = np.arctan2(np.linalg.norm(w, axis=-1, keepdims=True), cos2)
+    sym = (r + np.swapaxes(r, -1, -2) - cos2[..., None] * np.eye(3)) / 2.0
+    col = np.argmax(np.diagonal(sym, axis1=-2, axis2=-1), axis=-1)[..., None, None]
+    col = np.take_along_axis(sym, col, axis=-1)[..., 0]
+    n = np.where(cos2 >= 0.0, w, np.where((col * w).sum(axis=-1, keepdims=True) >= 0.0, col, -col))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(theta == 0.0, 0.0, n * (theta / np.linalg.norm(n, axis=-1, keepdims=True)))
+
+
+def omega_spherical(omega) -> np.ndarray:
+    """(theta, cap_theta, cap_phi) of the rotation vector omega, or of each
+    vector of a stack of shape (..., 3) (result (..., 3)).  theta is |omega|
+    reduced mod 2*pi (a full turn changes the state by a global phase only),
+    cap_phi lies in [0, 2*pi), and the zero vector gets (0, 0, 0)."""
+    w = np.asarray(omega, dtype=float)
+    theta = np.linalg.norm(w, axis=-1, keepdims=True)
+    zero = theta < 1e-300
+    n = w / np.where(zero, 1.0, theta)
+    angles = [theta % TWO_PI, np.arccos(np.clip(n[..., 2:], -1.0, 1.0)),
+              np.arctan2(n[..., 1:2], n[..., :1]) % TWO_PI]
+    return np.where(zero, 0.0, np.concatenate(angles, axis=-1))
+
+
 def numerical_generator(j: HalfInt, p: RotationParams, k, fd_step: float = 1e-5,
                         tol: float = 1e-7) -> np.ndarray:
     """Generator G_k = (i d_k R) R^dag computed two independent ways.
@@ -390,5 +398,5 @@ def _moments(psi: np.ndarray, jpsi) -> tuple:
 
 
 def compose(first: RotationParams, second: RotationParams) -> RotationParams:
-    """Parameters of the rotation 'first then second' (second applied after)."""
+    """Parameters of the rotation 'first then second' (second applied after), by from_so3."""
     return RotationParams.from_so3(so3_matrix(second) @ so3_matrix(first))

@@ -19,7 +19,7 @@ from spinsense.metrology import classical_fi, qfi_rotation_matrix
 from spinsense.states import (BlochPoint, SpinState, basis_state, coherent_state,
                               king_state, noon_state)
 from spinsense.su2 import (HalfInt, RotationParams, compose, omega_rotate, omega_so3,
-                           rotation_unitary, so3_matrix)
+                           omega_spherical, rotation_unitary, so3_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +356,40 @@ class TestNewtonRefinement:
                 assert abs(val[0] - vals[i]) <= 1e-12 * abs(vals[i])
                 assert np.max(np.abs(rot[0] - rots[i])) < 1e-10
 
+    @pytest.mark.parametrize("protocol", ["king_j3", "gps_j2"])
+    def test_fallback_stays_in_newtons_chart(self, protocol, monkeypatch):
+        # Nelder-Mead rotates the chart's base state by exp(-i J.w), as
+        # Newton does: it builds no unitary, composes no RotationParams and
+        # evaluates no stage-by-stage likelihood
+        monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
+        counted = {}
+
+        def counting(name, fn):
+            counted[name] = 0
+
+            def wrapper(*args, **kwargs):
+                counted[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("rotation_unitary", "compose"):
+            monkeypatch.setattr(estimation, name, counting(name, getattr(estimation, name)))
+        monkeypatch.setattr(estimation.RotationExperiment, "loglik",
+                            counting("loglik", estimation.RotationExperiment.loglik))
+        during, nelder_mead = [], estimation.minimize
+
+        def minimize(*args, **kwargs):
+            before = dict(counted)
+            out = nelder_mead(*args, **kwargs)
+            during.append({k: counted[k] - before[k] for k in counted})
+            return out
+
+        monkeypatch.setattr(estimation, "minimize", minimize)
+        exp, kwargs, trials = PROTOCOLS[protocol](1)
+        ml_estimate(trials[0], exp, **kwargs)
+        assert during and all(calls == {"rotation_unitary": 0, "compose": 0, "loglik": 0}
+                              for calls in during)
+
     def test_fallback_logs_its_reason(self, monkeypatch, caplog):
         # a global fit, which refines several starts per trial
         monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
@@ -434,12 +468,11 @@ class TestNewtonRefinement:
     def test_closed_form_fit_matches_lapack_fit(self, protocol, monkeypatch):
         exp, kwargs, trials = PROTOCOLS[protocol](4)
         counts, table = _stacked(trials), _table(exp, kwargs)
-        closed, _, _ = estimation._fit_trials(exp, counts, table, kwargs.get("anchor"))
+        closed, _, _, _ = estimation._fit_trials(exp, counts, table, kwargs.get("anchor"))
         monkeypatch.setattr(estimation, "_newton_steps",
                             lambda c, g, info: self._lapack_steps(c, g, info(slice(None)))[:2])
-        lapack, _, _ = estimation._fit_trials(exp, counts, table, kwargs.get("anchor"))
-        assert _max_angle_diff([f.as_array() for f in closed],
-                               [f.as_array() for f in lapack]) < 1e-12
+        lapack, _, _, _ = estimation._fit_trials(exp, counts, table, kwargs.get("anchor"))
+        assert _max_angle_diff(omega_spherical(closed), omega_spherical(lapack)) < 1e-12
 
 
 class TestTrialStack:
@@ -467,8 +500,26 @@ class TestTrialStack:
         calls = _record_calls(monkeypatch, "_fit_trials", fits)
         monte_carlo_qcrb(**self._study(protocol, 7))
         assert [len(c[1]) for c in calls] == [3, 3, 1]
-        stacked = np.array([f.as_array() for chunk, _, _ in fits for f in chunk])
+        stacked = omega_spherical(np.vstack([omega for omega, _, _, _ in fits]))
         assert _max_angle_diff(stacked, alone) < 1e-9
+
+    def test_study_builds_no_per_trial_params(self, monkeypatch):
+        # a study's fits stay rotation-vector stacks from Newton to the
+        # report: the RotationParams it builds do not grow with its trials
+        built = []
+        post_init = RotationParams.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(RotationParams, "__post_init__", counting)
+        counts = []
+        for n_trials in (50, 500):
+            built.clear()
+            monte_carlo_qcrb(**self._study("king_j3", n_trials))
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("protocol", ["king_j3", "gps_j2"])
     def test_sampled_counts_match_per_trial_draws(self, protocol, monkeypatch):
@@ -490,14 +541,15 @@ class TestTrialStack:
         exp, kwargs, trials = _king_j3_trials(king3, 4)
         table, anchor = _table(exp, kwargs), kwargs["anchor"]
         counts = _stacked(trials)
-        good, _, _ = estimation._fit_trials(exp, counts, table, anchor)
-        mixed, bias, size = estimation._fit_trials(exp, np.insert(counts, 2, 0.0, axis=0),
-                                                   table, anchor)
-        assert isinstance(mixed[2], NonIdentifiableError)
-        assert "flat" in str(mixed[2])
-        assert np.isnan(bias[2]).all() and np.isnan(size[2])
-        kept = [f.as_array() for f in mixed[:2] + mixed[3:]]
-        assert _max_angle_diff(kept, [f.as_array() for f in good]) < 1e-12
+        good, _, _, _ = estimation._fit_trials(exp, counts, table, anchor)
+        mixed, errors, bias, size = estimation._fit_trials(
+            exp, np.insert(counts, 2, 0.0, axis=0), table, anchor)
+        assert list(errors) == [2]
+        assert isinstance(errors[2], NonIdentifiableError)
+        assert "flat" in str(errors[2])
+        assert np.isnan(mixed[2]).all() and np.isnan(bias[2]).all() and np.isnan(size[2])
+        kept = omega_spherical(np.delete(mixed, 2, axis=0))
+        assert _max_angle_diff(kept, omega_spherical(good)) < 1e-12
         # a study counts such a trial in n_failed by itself
         draw = estimation.RotationExperiment.sample_counts
 
@@ -517,9 +569,9 @@ class TestTrialStack:
         exp, kwargs, trials = _gps_j2_trials(3)
         alone = [ml_estimate(r, exp, **kwargs).as_array() for r in trials]
         calls = _record_calls(monkeypatch, "minimize")
-        fits, _, _ = estimation._fit_trials(exp, _stacked(trials), _table(exp, kwargs), None)
+        fits, _, _, _ = estimation._fit_trials(exp, _stacked(trials), _table(exp, kwargs), None)
         assert len(calls) > len(trials)
-        assert _max_angle_diff([f.as_array() for f in fits], alone) < 1e-9
+        assert _max_angle_diff(omega_spherical(fits), alone) < 1e-9
 
 
 class TestPeakStarts:
@@ -702,8 +754,8 @@ class TestCoxSnellBias:
         n_shots = 10_000
         counts = np.zeros((1, exp.kernel._seg_t.shape[1]))
         counts[0, 0] = n_shots                  # only the trial's total counts
-        fits, bias, size = estimation._check_optima(exp, [point], counts)
-        assert fits == [point]
+        errors, bias, size = estimation._check_optima(exp, point.omega[None], counts)
+        assert errors == {}
         # Richardson's extrapolation cancels the differences' h^2 error
         (coarse, info), (fine, _) = (_cox_snell_by_differences(exp, probe, point, n_shots, h)
                                      for h in (2e-4, 1e-4))
@@ -714,8 +766,9 @@ class TestCoxSnellBias:
     @staticmethod
     def _king_study(king3, monkeypatch, n_shots):
         """A 100-trial King study at ``n_shots``: its report or the
-        UnreliableRunError it raises, every trial's plain fit, and the size
-        sqrt(b^T I b) of every trial's bias."""
+        UnreliableRunError it raises, every trial's plain fit as a rotation
+        vector, nan if rejected, and the size sqrt(b^T I b) of every trial's
+        bias."""
         fits = []
         _record_calls(monkeypatch, "_fit_trials", fits)
         try:
@@ -723,15 +776,15 @@ class TestCoxSnellBias:
                                    n_shots, 100, 7)
         except UnreliableRunError as err:
             out = err
-        return (out, [f for chunk, _, _ in fits for f in chunk],
-                np.concatenate([size for _, _, size in fits]))
+        return (out, np.vstack([omega for omega, _, _, _ in fits]),
+                np.concatenate([size for _, _, _, size in fits]))
 
     def test_bias_cap_fails_a_study_at_300_shots(self, king3, monkeypatch):
         out, plain, size = self._king_study(king3, monkeypatch, 300)
         capped = size > estimation._MAX_BIAS
         # every plain fit stands, as ml_estimate returns it; the study drops
         # the capped trials, more than the 5% it tolerates
-        assert all(isinstance(f, RotationParams) for f in plain)
+        assert not np.isnan(plain).any()
         assert capped.sum() > 5
         assert isinstance(out, UnreliableRunError)
         assert out.failed_fraction == capped.sum() / 100
@@ -741,7 +794,7 @@ class TestCoxSnellBias:
         with caplog.at_level(logging.WARNING, logger="spinsense"):
             rep, plain, size = self._king_study(king3, monkeypatch, 500)
         capped = size > estimation._MAX_BIAS
-        assert all(isinstance(f, RotationParams) for f in plain)
+        assert not np.isnan(plain).any()
         assert isinstance(rep, EstimationReport)
         assert rep.n_failed == capped.sum() > 0
         # the trimmed sample is not silent
@@ -1021,7 +1074,7 @@ class TestMonteCarlo:
         p_true = RotationParams(3.1, 1.2, 0.7)
         monte_carlo_qcrb(demo_j2_state, p_true, "husimi", 400_000, 239, 3,
                          directions=GPS_J2_DIRECTIONS)
-        fit = [f for fits, _, _ in results for f in fits][238]
+        fit = RotationParams.from_omega(np.vstack([omega for omega, _, _, _ in results])[238])
         exp = husimi_experiment(demo_j2_state, GPS_J2_DIRECTIONS)
         counts = [r.counts for r in exp.sample(p_true, 400_000, (3, 238))]
         trapped = RotationParams.from_omega([-1.5118790735653744, -2.4165396390709266,

@@ -7,9 +7,10 @@ from scipy.linalg import expm
 
 from conftest import random_params
 from spinsense.errors import DomainError, NumericalToleranceError
-from spinsense.su2 import (GeneratorFrame, HalfInt, RotationParams, compose,
+from spinsense.su2 import (TWO_PI, GeneratorFrame, HalfInt, RotationParams, compose,
                            generator_frame, make_operators, numerical_generator,
-                           omega_rotate, omega_so3, rotation_unitary, so3_matrix)
+                           omega_rotate, omega_so3, omega_spherical, rotation_unitary,
+                           so3_matrix, so3_omega)
 
 
 class TestHalfInt:
@@ -272,6 +273,53 @@ class TestStacks:
         for k in range(7):
             want = expm(np.cross(w[k], np.eye(3)).T)      # columns w x e_i
             assert np.max(np.abs(m[k, 0] - want)) < 1e-13
+
+    @staticmethod
+    def _per_matrix_omega(r):
+        """omega of one rotation matrix by the per-matrix from_so3 that
+        so3_omega replaced, kept here as the reference."""
+        w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+        cos2 = np.trace(r) - 1.0
+        theta = math.atan2(np.linalg.norm(w), cos2)
+        if theta == 0.0:
+            return np.zeros(3)
+        if cos2 >= 0.0:
+            n = w
+        else:
+            sym = (r + r.T - cos2 * np.eye(3)) / 2.0
+            n = sym[:, np.argmax(np.diag(sym))]
+            n = n if n @ w >= 0.0 else -n
+        n = n / np.linalg.norm(n)
+        return RotationParams(theta, math.acos(min(1.0, max(-1.0, n[2]))),
+                              math.atan2(n[1], n[0]) % TWO_PI).omega
+
+    @staticmethod
+    def _max_omega_err(a, b):
+        """max |a - b| over rows (..., 3), where a row of b at theta = pi
+        matches either of +-b: both are one rotation."""
+        err = np.abs(a - b).max(axis=-1)
+        at_pi = np.abs(np.linalg.norm(b, axis=-1) - math.pi) < 1e-15
+        return np.where(at_pi, np.minimum(err, np.abs(a + b).max(axis=-1)), err).max()
+
+    @pytest.mark.parametrize("shape", [(1007,), (19, 53)])
+    def test_so3_omega_of_a_stack(self, shape):
+        # the angles of test_from_so3_keeps_omega_near_zero_and_pi, 0 and pi,
+        # then 1000 random rotations
+        rng = np.random.default_rng(6)
+        angles = [0.0, 1e-7, 1e-9, math.pi - 1e-6, math.pi - 1e-9, math.pi - 1e-12, math.pi]
+        axes = rng.normal(size=(1000, 3))
+        w = np.vstack([np.outer(angles, [0.36, -0.48, 0.80]),
+                       axes / np.linalg.norm(axes, axis=1, keepdims=True)
+                       * rng.uniform(0.0, math.pi, (1000, 1))])
+        rot = omega_so3(w).reshape(*shape, 3, 3)
+        out = so3_omega(rot)
+        assert out.shape == (*shape, 3)
+        reference = np.array([self._per_matrix_omega(r) for r in rot.reshape(-1, 3, 3)])
+        assert self._max_omega_err(out.reshape(-1, 3), reference) < 1e-14
+        assert self._max_omega_err(out.reshape(-1, 3), w) < 1e-14
+        # the wrappers
+        params = RotationParams.from_so3(rot.reshape(-1, 3, 3)[100])
+        assert np.array_equal(params.as_array(), omega_spherical(out.reshape(-1, 3)[100]))
 
     def test_omega_rotate_pairs_states_with_vectors(self):
         rng = np.random.default_rng(4)
