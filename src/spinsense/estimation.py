@@ -49,8 +49,8 @@ _OFFSET_AXES = (
 
 
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first use: only the Nelder-Mead
-    fallback of ml_estimate needs it, and importing it is slow."""
+    """scipy.optimize.minimize, imported on first use.  Nothing in the
+    package calls it; bench/spans.py wraps it by name."""
     from scipy.optimize import minimize as scipy_minimize
     return scipy_minimize(*args, **kwargs)
 
@@ -460,9 +460,7 @@ def ml_estimate(records, experiment: RotationExperiment, grid_cache=None,
     exact observed Hessian (a Fisher-scoring step where that Hessian is not
     negative definite), each step a closed-form 3x3 solve, and step halving
     until the log-likelihood does not drop; a start converges once its
-    Newton step is below 1e-10 rad.  A start that does not converge is
-    refined by Nelder-Mead instead, in the same chart: it maximizes the
-    log-likelihood of exp(-i J.w) psi_base over w from w0.
+    Newton step is below 1e-10 rad, and the best converged start wins.
 
     Probes with a nontrivial rotational stabilizer (NOON, balanced, Kings)
     make the *global* likelihood exactly periodic under the stabilizer, so
@@ -481,8 +479,9 @@ def ml_estimate(records, experiment: RotationExperiment, grid_cache=None,
     adjacent-basin traps of rugged likelihoods; a restart wins only by more
     than 1e-9 nats.
 
-    A flat likelihood, a singular information matrix at the optimum, or a
-    bound sigma above 0.35 rad there raises NonIdentifiableError.
+    A flat likelihood, a singular information matrix or a bound sigma above
+    0.35 rad at the optimum, or else an optimum from no converged start (a
+    start's last iterate), raises NonIdentifiableError.
 
     The result is the plain maximum-likelihood estimate, with its O(1/N)
     bias, built from the optimum's rotation vector; monte_carlo_qcrb fits
@@ -511,7 +510,9 @@ def _fit_trials(experiment: RotationExperiment, counts, grid_cache, anchor):
     rotation vector (n, 3), nan for a rejected trial; {trial: the
     NonIdentifiableError that rejects it} for the rejected trials alone, so
     that a failing trial fails alone; and, from _check_optima, each trial's
-    Cox-Snell bias (n, 3) and its size (n,), nan for a flat trial."""
+    Cox-Snell bias (n, 3) and its size (n,), nan for a flat trial.  A
+    trial's optimum is its best converged row, else its best row, which
+    _check_optima checks and, if it passes, rejects as not converged."""
     kernel = experiment.kernel
     cand, per_stage, grid = grid_cache
     # every trial's score of every cell
@@ -539,29 +540,27 @@ def _fit_trials(experiment: RotationExperiment, counts, grid_cache, anchor):
                        for c in np.split(counts, kernel.splits, axis=1)])
 
     def refine(w0, n_rows):
-        """-loglik and SO(3) matrix at each live trial's best optimum, its
-        n_rows[i] starts consecutive rows of the stack w0; Nelder-Mead refines
-        the starts Newton leaves, in Newton's chart, on their own trials' counts."""
+        """-loglik, SO(3) matrix and convergence of each live trial's best
+        row, its n_rows[i] starts consecutive rows of the stack w0."""
         rows = np.repeat(live, n_rows)
-        vals, rots = _newton_fit(kernel, counts[rows], shots[rows], w0, base_psi, base_rot)
-        for i in np.flatnonzero(np.isnan(vals)):
-            res = minimize(lambda w: -kernel.loglik(counts[rows[i]],
-                                                    omega_rotate(kernel.j, w, base_psi)),
-                           w0[i], method="Nelder-Mead",
-                           options={"xatol": 1e-7, "fatol": 1e-7, "maxiter": 600})
-            vals[i], rots[i] = res.fun, omega_so3(res.x) @ base_rot
-        # each trial's rows by value, the first on a tie, as argmin takes it
-        best = np.lexsort((vals, rows))[np.cumsum(n_rows) - n_rows]
-        return vals[best], rots[best]
+        vals, rots, conv = _newton_fit(kernel, counts[rows], shots[rows], w0, base_psi, base_rot)
+        # each trial's converged rows by value, then the rest, the first on a tie
+        best = np.lexsort((vals, ~conv, rows))[np.cumsum(n_rows) - n_rows]
+        return vals[best], rots[best], conv[best]
 
-    val, rot = refine(starts[found], found.sum(axis=1))
+    val, rot, conv = refine(starts[found], found.sum(axis=1))
     if anchor is None:      # base_rot is the identity: the chart point is omega
         w0 = (so3_omega(rot)[:, None] + _RESTARTS).reshape(-1, 3)
-        again, rot_again = refine(w0, np.full(len(live), len(_RESTARTS)))
-        rot = np.where((again < val - 1e-9)[:, None, None], rot_again, rot)
+        again, rot_again, conv_again = refine(w0, np.full(len(live), len(_RESTARTS)))
+        better = np.where(conv == conv_again, again < val - 1e-9, conv_again)
+        rot = np.where(better[:, None, None], rot_again, rot)
+        conv |= conv_again
     omega[live] = so3_omega(rot)
 
     rejected, bias[live], size[live] = _check_optima(experiment, omega[live], counts[live])
+    for i in np.flatnonzero(~conv):
+        rejected.setdefault(int(i), NonIdentifiableError(
+            f"no Newton start converged in {_NEWTON_MAX_ITER} iterations"))
     for i, err in rejected.items():
         errors[int(live[i])] = err
         omega[live[i]] = np.nan
@@ -717,16 +716,16 @@ def _newton_fit(kernel: BornKernel, counts, shots, w0, base_psi, base_rot):
     Steps come from _newton_steps, and each iteration rotates the SO(3)
     matrices of the rows that moved once, by their accepted steps.
 
-    Returns -loglik (m,) and the SO(3) matrices (m, 3, 3) at the optima; a
-    start that does not converge logs why at debug level and gets -loglik
-    nan."""
-    neg_ll, rots = np.full(len(w0), np.nan), np.full((len(w0), 3, 3), np.nan)
-    why = {}
-    live = np.arange(len(w0))                   # the starts still iterating
+    Returns -loglik (m,) and the SO(3) matrices (m, 3, 3) at each row's
+    last accepted iterate, and whether the row converged (m,); a row that
+    stops for another reason logs why at debug level."""
     shots = np.broadcast_to(shots, counts.shape)
     psi = omega_rotate(kernel.j, w0, base_psi)
     rot = omega_so3(w0) @ base_rot
     value = kernel.loglik(counts, psi)
+    neg_ll, rots, converged = -value, rot.copy(), np.zeros(len(w0), dtype=bool)
+    why = {}
+    live = np.arange(len(w0))                   # the starts still iterating
     for _ in range(_NEWTON_MAX_ITER):
         p, dp, d2p = kernel.derivatives(psi, second=True)
         p = np.maximum(p, 1e-300)
@@ -743,7 +742,7 @@ def _newton_fit(kernel: BornKernel, counts, shots, w0, base_psi, base_rot):
             for i in live[~moving]:
                 why.setdefault(i, "non-finite step")
         done = moving & (np.einsum("mk,mk->m", step, step) < _NEWTON_TOL ** 2)
-        neg_ll[live[done]], rots[live[done]] = -value[done], rot[done]
+        converged[live[done]] = True
         moving &= ~done
         pending = np.flatnonzero(moving)        # halve each step until no drop
         for _ in range(_MAX_HALVINGS):
@@ -762,16 +761,17 @@ def _newton_fit(kernel: BornKernel, counts, shots, w0, base_psi, base_rot):
             moving[pending] = False
         rot[moving] = omega_so3(step[moving]) @ rot[moving]
         if not moving.all():
+            neg_ll[live[~moving]], rots[live[~moving]] = -value[~moving], rot[~moving]
             live, psi, value, rot = live[moving], psi[moving], value[moving], rot[moving]
             counts, shots = counts[moving], shots[moving]
             if not live.size:
                 break
+    neg_ll[live], rots[live] = -value, rot
     for i in live:
         why[i] = f"no convergence in {_NEWTON_MAX_ITER} iterations"
     for i in sorted(why):
-        _log.debug("Newton refinement from w0 = %s fell back to Nelder-Mead: %s",
-                   w0[i], why[i])
-    return neg_ll, rots
+        _log.debug("Newton refinement from w0 = %s did not converge: %s", w0[i], why[i])
+    return neg_ll, rots, converged
 
 
 def estimator_stats(estimates, true_params: RotationParams):

@@ -1,5 +1,8 @@
 import logging
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -311,31 +314,58 @@ def _max_angle_diff(a, b):
     return float(np.max(np.abs(d)))
 
 
+def _nelder_mead(kernel, counts, w0, base_psi):
+    """The Nelder-Mead oracle, in Newton's chart: maximizes the
+    log-likelihood of exp(-i J.w) base_psi over w from w0.  Returns the
+    optimum's -loglik and w."""
+    from scipy.optimize import minimize
+    res = minimize(lambda w: -kernel.loglik(counts, omega_rotate(kernel.j, w, base_psi)), w0,
+                   method="Nelder-Mead", options={"xatol": 1e-7, "fatol": 1e-7, "maxiter": 600})
+    return res.fun, res.x
+
+
+def _hard_trial(case):
+    """A trial whose Newton stack leaves a start unconverged: trial 862 of a
+    gps_j2-design study at 4000 shots (seed 21), and trials 41 and 69 of the
+    100-trial King studies at 2J = 120, 10^4 shots, seeds 3000 and 4000.
+    Returns the experiment, ml_estimate's keyword arguments and the records."""
+    if case == "gps_j2_4000":
+        exp, kwargs, _ = _gps_j2_trials(0)
+        return exp, kwargs, exp.sample(RotationParams(0.9, 1.2, 0.7), 4000, (21, 862))
+    p_true = RotationParams(0.8, 1.1, 2.3)
+    exp = optimal_pvm_experiment(king_state(HalfInt(120)), p_true)
+    seed = {"king_2j120_3000": (3000, 41), "king_2j120_4000": (4000, 69)}[case]
+    return exp, {"anchor": p_true}, exp.sample(p_true, 10_000, seed)
+
+
 class TestNewtonRefinement:
     @pytest.mark.parametrize("protocol", ["king_j3", "gps_j2"])
-    def test_no_start_falls_back_to_nelder_mead(self, protocol, monkeypatch):
-        calls = _record_calls(monkeypatch, "minimize")
+    def test_every_start_converges(self, protocol, monkeypatch):
+        results = []
+        _record_calls(monkeypatch, "_newton_fit", results)
         exp, kwargs, trials = PROTOCOLS[protocol](20)
         for records in trials:
             ml_estimate(records, exp, **kwargs)
-        assert len(calls) == 0
+        assert len(results) >= len(trials)
+        assert all(converged.all() for _, _, converged in results)
 
     @pytest.mark.parametrize("protocol", ["king_j3", "noon_j3", "gps_j2"])
     def test_estimates_match_nelder_mead(self, protocol, monkeypatch):
-        exp, kwargs, trials = PROTOCOLS[protocol](20)
-        newton = [ml_estimate(r, exp, **kwargs) for r in trials]
-        # the reference refines every start by Nelder-Mead, the fallback
-        # path: with no Newton iteration allowed, no start converges
-        monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
+        # the reference refines by Nelder-Mead every start that Newton
+        # receives, and takes each trial's best
         fits = _record_calls(monkeypatch, "_newton_fit")
-        calls = _record_calls(monkeypatch, "minimize")
-        reference = [ml_estimate(r, exp, **kwargs) for r in trials]
-        n_starts = sum(len(args[3]) for args in fits)
-        assert n_starts >= len(trials) and len(calls) == n_starts
-        for a, b in zip(newton, reference):
-            d = a.as_array() - b.as_array()
+        exp, kwargs, trials = PROTOCOLS[protocol](20)
+        for records in trials:
+            n_before = len(fits)
+            newton = ml_estimate(records, exp, **kwargs)
+            counts = np.concatenate([r.counts for r in records])
+            (_, w), base_rot = min(((_nelder_mead(kernel, counts, start, base_psi), base_rot)
+                                    for kernel, _, _, w0, base_psi, base_rot in fits[n_before:]
+                                    for start in w0), key=lambda fit: fit[0][0])
+            reference = RotationParams.from_so3(omega_so3(w) @ base_rot)
+            d = newton.as_array() - reference.as_array()
             d[2] = (d[2] + math.pi) % (2.0 * math.pi) - math.pi
-            assert np.max(np.abs(d)) < 1e-6, (a, b)
+            assert np.max(np.abs(d)) < 1e-6, (newton, reference)
 
     @pytest.mark.parametrize("protocol", ["king_j3", "gps_j2"])
     def test_starts_refine_independently(self, protocol, monkeypatch):
@@ -347,62 +377,113 @@ class TestNewtonRefinement:
         estimation._fit_trials(exp, _stacked(trials), _table(exp, kwargs), kwargs.get("anchor"))
         assert len(fits) == (1 if protocol == "king_j3" else 2)   # grid starts, restarts
         for kernel, counts, shots, w0, base_psi, base_rot in fits:
-            vals, rots = newton_fit(kernel, counts, shots, w0, base_psi, base_rot)
+            vals, rots, converged = newton_fit(kernel, counts, shots, w0, base_psi, base_rot)
             assert len(np.unique(counts, axis=0)) == len(trials)   # rows of every trial
-            assert not np.any(np.isnan(vals))
+            assert converged.all()
             for i in range(len(w0)):
-                val, rot = newton_fit(kernel, counts[i:i + 1], shots[i:i + 1], w0[i:i + 1],
-                                      base_psi, base_rot)
-                assert abs(val[0] - vals[i]) <= 1e-12 * abs(vals[i])
+                val, rot, conv = newton_fit(kernel, counts[i:i + 1], shots[i:i + 1],
+                                            w0[i:i + 1], base_psi, base_rot)
+                assert abs(val[0] - vals[i]) <= 1e-12 * abs(vals[i]) and conv[0]
                 assert np.max(np.abs(rot[0] - rots[i])) < 1e-10
 
-    @pytest.mark.parametrize("protocol", ["king_j3", "gps_j2"])
-    def test_fallback_stays_in_newtons_chart(self, protocol, monkeypatch):
-        # Nelder-Mead rotates the chart's base state by exp(-i J.w), as
-        # Newton does: it builds no unitary, composes no RotationParams and
-        # evaluates no stage-by-stage likelihood
+    @pytest.mark.parametrize("case", ["gps_j2_4000", "king_2j120_3000", "king_2j120_4000"])
+    def test_unconverged_start_loses_to_a_converged_one(self, case, monkeypatch):
+        # each of these trials has a start that Newton does not converge
+        # from; the estimate is a converged row, and Nelder-Mead from the
+        # unconverged starts finds nothing better
+        def no_optimizer(*args, **kwargs):
+            raise AssertionError("estimation.minimize called")
+
+        monkeypatch.setattr(estimation, "minimize", no_optimizer)
+        results = []
+        fits = _record_calls(monkeypatch, "_newton_fit", results)
+        exp, kwargs, records = _hard_trial(case)
+        est = ml_estimate(records, exp, **kwargs)
+        counts = np.concatenate([r.counts for r in records])
+        loglik = exp.kernel.loglik(counts, exp.rotated_amps(est))
+        unconverged = [(kernel, w0[i], base_psi)
+                       for (kernel, _, _, w0, base_psi, _), (_, _, converged) in zip(fits, results)
+                       for i in np.flatnonzero(~converged)]
+        assert unconverged
+        for kernel, w0, base_psi in unconverged:
+            neg_ll, _ = _nelder_mead(kernel, counts, w0, base_psi)
+            assert -neg_ll <= loglik + 1e-6
+
+    @pytest.mark.parametrize("fake", ["one_row_each_stack", "whole_first_stack"])
+    def test_converged_row_beats_an_unconverged_one(self, fake, monkeypatch):
+        # an unconverged row loses to a converged one whatever its value:
+        # within a stack, and between the first stack and the restarts.  The
+        # faked rows are moved off the optimum and given a higher likelihood
+        exp, kwargs, trials = _gps_j2_trials(1)
+        truth = ml_estimate(trials[0], exp, **kwargs).as_array()
+        newton_fit = estimation._newton_fit
+        n_calls = []
+
+        def faked(*args):
+            vals, rots, converged = newton_fit(*args)
+            if fake == "one_row_each_stack":
+                rows, angle = [0], 0.5
+            else:
+                rows, angle = (slice(None) if not n_calls else []), 0.01
+            n_calls.append(1)
+            vals[rows], converged[rows] = vals.min() - 10.0, False
+            rots[rows] = omega_so3(np.array([angle, 0.0, 0.0])) @ rots[rows]
+            return vals, rots, converged
+
+        monkeypatch.setattr(estimation, "_newton_fit", faked)
+        est = ml_estimate(trials[0], exp, **kwargs)
+        assert len(n_calls) == 2
+        assert _max_angle_diff(est.as_array(), truth) < 1e-9
+
+    def test_no_converged_start_is_a_typed_failure(self, king3, monkeypatch):
+        # with no Newton iteration allowed, no start converges: a fit raises
+        # NonIdentifiableError, and a study whose every trial fails raises
+        # UnreliableRunError, with no optimizer imported
         monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
-        counted = {}
-
-        def counting(name, fn):
-            counted[name] = 0
-
-            def wrapper(*args, **kwargs):
-                counted[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in ("rotation_unitary", "compose"):
-            monkeypatch.setattr(estimation, name, counting(name, getattr(estimation, name)))
-        monkeypatch.setattr(estimation.RotationExperiment, "loglik",
-                            counting("loglik", estimation.RotationExperiment.loglik))
-        during, nelder_mead = [], estimation.minimize
-
-        def minimize(*args, **kwargs):
-            before = dict(counted)
-            out = nelder_mead(*args, **kwargs)
-            during.append({k: counted[k] - before[k] for k in counted})
-            return out
-
-        monkeypatch.setattr(estimation, "minimize", minimize)
-        exp, kwargs, trials = PROTOCOLS[protocol](1)
-        ml_estimate(trials[0], exp, **kwargs)
-        assert during and all(calls == {"rotation_unitary": 0, "compose": 0, "loglik": 0}
-                              for calls in during)
+        exp, kwargs, trials = _king_j3_trials(king3, 1)
+        with pytest.raises(NonIdentifiableError, match="no Newton start converged"):
+            ml_estimate(trials[0], exp, **kwargs)
+        with pytest.raises(UnreliableRunError, match="20/20"):
+            monte_carlo_qcrb(king3, RotationParams(0.8, 1.1, 2.3), "optimal_pvm", 10_000, 20, 7)
+        script = textwrap.dedent("""
+            import sys
+            from spinsense import estimation
+            from spinsense.errors import NonIdentifiableError, UnreliableRunError
+            from spinsense.states import king_state
+            from spinsense.su2 import HalfInt, RotationParams
+            estimation._NEWTON_MAX_ITER = 0
+            truth = RotationParams(0.8, 1.1, 2.3)
+            king = king_state(HalfInt(6))
+            exp = estimation.optimal_pvm_experiment(king, truth)
+            try:
+                estimation.ml_estimate(exp.sample(truth, 10_000, (7, 0)), exp, anchor=truth)
+            except NonIdentifiableError:
+                pass
+            try:
+                estimation.monte_carlo_qcrb(king, truth, "optimal_pvm", 10_000, 20, 7)
+            except UnreliableRunError:
+                pass
+            print("scipy.optimize" in sys.modules)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_fallback_logs_its_reason(self, monkeypatch, caplog):
-        # a global fit, which refines several starts per trial
+        # a global fit, which refines several starts per trial; with no
+        # Newton iteration allowed, every start logs why it stopped
         monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
         fits = _record_calls(monkeypatch, "_newton_fit")
         exp, kwargs, trials = _gps_j2_trials(1)
         with caplog.at_level(logging.DEBUG, logger="spinsense"):
-            ml_estimate(trials[0], exp, **kwargs)
+            with pytest.raises(NonIdentifiableError):
+                ml_estimate(trials[0], exp, **kwargs)
         events = [r for r in caplog.records if r.name == "spinsense"]
         # one per start, each naming the reason and the start
         assert len(events) == sum(len(args[3]) for args in fits) > 1
         for r in events:
             assert r.levelno == logging.DEBUG
-            assert "no convergence in 0 iterations" in r.getMessage()
+            assert "did not converge: no convergence in 0 iterations" in r.getMessage()
             assert "w0 = [" in r.getMessage()
 
     @staticmethod
@@ -562,16 +643,6 @@ class TestTrialStack:
         rep = monte_carlo_qcrb(king3, RotationParams(0.8, 1.1, 2.3), "optimal_pvm",
                                10_000, 20, 7)
         assert rep.n_failed == 1
-
-    def test_nelder_mead_rows_use_their_own_counts(self, monkeypatch):
-        # a global fit, which refines several starts per trial
-        monkeypatch.setattr(estimation, "_NEWTON_MAX_ITER", 0)
-        exp, kwargs, trials = _gps_j2_trials(3)
-        alone = [ml_estimate(r, exp, **kwargs).as_array() for r in trials]
-        calls = _record_calls(monkeypatch, "minimize")
-        fits, _, _, _ = estimation._fit_trials(exp, _stacked(trials), _table(exp, kwargs), None)
-        assert len(calls) > len(trials)
-        assert _max_angle_diff(omega_spherical(fits), alone) < 1e-9
 
 
 class TestPeakStarts:
