@@ -81,45 +81,36 @@ def cmd_husimi(args) -> int:
     return 0
 
 
-def _euler_zyz_to_params(angles) -> su2.RotationParams:
-    a, b, g = angles
-    rz_a = su2.so3_matrix(su2.RotationParams(a % (2 * math.pi), 0.0, 0.0))
-    ry_b = su2.so3_matrix(su2.RotationParams(abs(b), math.pi / 2,
-                                             math.pi / 2 if b >= 0 else 3 * math.pi / 2))
-    rz_g = su2.so3_matrix(su2.RotationParams(g % (2 * math.pi), 0.0, 0.0))
-    return su2.RotationParams.from_so3(rz_a @ ry_b @ rz_g)
-
-
 def _params_to_euler_zyz(p: su2.RotationParams):
-    m = su2.so3_matrix(p)
-    beta = math.acos(min(1.0, max(-1.0, m[2, 2])))
-    if abs(math.sin(beta)) < 1e-12:
-        alpha = math.atan2(m[1, 0], m[0, 0])
-        gamma = 0.0
-    else:
-        alpha = math.atan2(m[1, 2], m[0, 2])
-        gamma = math.atan2(m[2, 1], -m[2, 0])
-    return np.array([alpha, beta, gamma])
+    """ZYZ Euler angles: so3_matrix(p) = R_z(alpha) R_y(beta) R_z(gamma), gamma = 0 where
+    sin(beta) = 0.  p's quaternion (cos(theta/2), sin(theta/2) n) is (cB cP, -sB sM, sB cM, cB sP),
+    c and s the cosine and sine of B = beta/2, P = (alpha + gamma)/2 and M = (alpha - gamma)/2."""
+    w, (x, y, z) = math.cos(p.theta / 2.0), math.sin(p.theta / 2.0) * p.axis
+    beta = 2.0 * math.atan2(math.hypot(x, y), math.hypot(z, w))
+    plus, minus = 2.0 * math.atan2(z, w), 2.0 * math.atan2(-x, y)
+    if math.sin(beta) < 1e-12:
+        return np.array([plus if beta < math.pi / 2.0 else minus, beta, 0.0])
+    return np.array([(plus + minus) / 2.0, beta, (plus - minus) / 2.0])
+
+
+def _euler_zyz_frame(alpha, beta, _gamma) -> np.ndarray:
+    """Generator vectors of the ZYZ Euler chart: e_z, R_z(alpha) e_y, R_z(alpha) R_y(beta) e_z."""
+    sa, ca, sb, cb = math.sin(alpha), math.cos(alpha), math.sin(beta), math.cos(beta)
+    return np.array([[0.0, -sa, sb * ca], [0.0, ca, sb * sa], [1.0, 0.0, cb]])
+
+
+# each qfi chart's parameter labels and generator vectors at a rotation
+_CHARTS = {
+    "spherical": (metrology.PARAM_LABELS_SPHERICAL, lambda p: su2.generator_frame(p).matrix()),
+    "cartesian": (("omega_x", "omega_y", "omega_z"), lambda p: su2.cartesian_frame(p.omega)),
+    "euler-zyz": (("alpha", "beta", "gamma"), lambda p: _euler_zyz_frame(*_params_to_euler_zyz(p)))}
 
 
 def cmd_qfi(args) -> int:
     state = serialize.load_spin_state_file(args.state)
     p = su2.RotationParams(args.theta, args.cap_theta, args.cap_phi)
-    fi = metrology.qfi_rotation_matrix(state, p)
-    if args.parametrization == "cartesian":
-        jac = metrology.spherical_to_cartesian_jacobian(p)
-        fi = metrology.reparametrize(fi, jac, ("omega_x", "omega_y", "omega_z"))
-    elif args.parametrization == "euler-zyz":
-        eul = _params_to_euler_zyz(p)
-        step = 1e-6
-        jac = np.zeros((3, 3))
-        for k in range(3):
-            up, dn = eul.copy(), eul.copy()
-            up[k] += step
-            dn[k] -= step
-            jac[:, k] = (_euler_zyz_to_params(up).as_array()
-                         - _euler_zyz_to_params(dn).as_array()) / (2 * step)
-        fi = metrology.reparametrize(fi, jac, ("alpha", "beta", "gamma"))
+    labels, frame = _CHARTS[args.parametrization]
+    fi = metrology._qfi_from_frame(state, p, frame(p), labels)
     payload = serialize.qfi_to_dict(fi)
     print(f"QFI matrix ({', '.join(fi.param_labels)}), rank {fi.rank}:")
     for row in fi.q:
@@ -136,7 +127,7 @@ def cmd_qfi(args) -> int:
         print(f"classification: {report.classification}")
         if report.classification == "coordinate_singularity":
             print("hint: a coordinate singularity; switching charts (for "
-                  "example --parametrization cartesian near theta = 0) "
+                  "example --parametrization cartesian at or near theta = 0) "
                   "restores full rank")
         for col in fi.null_basis.T:
             print("inestimable direction: "
@@ -239,9 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         point.add_argument(name, type=float, required=True)
 
     pq = sub.add_parser("qfi", parents=[point], help="rotation QFI matrix at a parameter point")
-    pq.add_argument("--parametrization",
-                    choices=["spherical", "cartesian", "euler-zyz"],
-                    default="spherical")
+    pq.add_argument("--parametrization", choices=list(_CHARTS), default="spherical")
     pq.add_argument("--out", default=None)
     pq.set_defaults(func=cmd_qfi)
 

@@ -578,12 +578,12 @@ def _check_optima(experiment: RotationExperiment, omega, counts):
 
     With l the log-likelihood of the trial's shots, I its expected
     information, kappa_{rt,u} = E[l_rt l_u] and kappa_{rtu} = E[l_rtu], the
-    bias is b^s = I^{sr} I^{tu} (kappa_{rt,u} + kappa_{rtu} / 2) (Cox &
-    Snell, JRSS B 30, 248, 1968).  The Bartlett identity kappa_{rtu} =
-    -kappa_{rt,u} - kappa_{ru,t} - kappa_{tu,r} - kappa_{r,t,u} turns the
-    bracket into (D_rtu - D_rut - D_tur) / 2, with D_rtu = sum_x N_x
-    d2p_x,rt dp_x,u / p_x, so p, dp and d2p suffice.  N_x is the outcome's
-    stage share of the trial's shots; outcomes at or below _PROB_FLOOR are
+    bias is b^s = I^{sr} I^{tu} (kappa_{rt,u} + kappa_{rtu} / 2) (Cox & Snell, JRSS B
+    30, 248, 1968).  The Bartlett identity kappa_{rtu} = -kappa_{rt,u} - kappa_{ru,t} -
+    kappa_{tu,r} - kappa_{r,t,u} turns the bracket into (D_rtu - D_rut - D_tur) / 2, whose
+    first two terms cancel against the symmetric I^{tu}, so b^s = -I^{sr} I^{tu} D_tur / 2,
+    with D_rtu = sum_x N_x d2p_x,rt dp_x,u / p_x: p, dp and d2p suffice.  N_x is the
+    outcome's stage share of the trial's shots; outcomes at or below _PROB_FLOOR are
     dropped, as in fisher_information."""
     kernel = experiment.kernel
     p, dp, d2p = kernel.derivatives(omega_rotate(kernel.j, omega, experiment.probe.amps),
@@ -598,9 +598,8 @@ def _check_optima(experiment: RotationExperiment, omega, counts):
     sigmas = np.sqrt(np.clip(np.diagonal(np.linalg.pinv(fi_sph), axis1=1, axis2=2)
                              / total_shots[:, None], 0.0, None))
     d = np.einsum("rtmx,umx,mx->mrtu", d2p, dp, experiment._information_weights(p))
-    bracket = 0.5 * (d - np.einsum("mrut->mrtu", d) - np.einsum("mtur->mrtu", d))
     fi_inv = np.linalg.pinv(fi)
-    bias = np.einsum("msr,mtu,mrtu->ms", fi_inv, fi_inv, bracket) / total_shots[:, None]
+    bias = -0.5 * np.einsum("msr,mtu,mtur->ms", fi_inv, fi_inv, d) / total_shots[:, None]
     size = np.sqrt(np.maximum(total_shots * np.einsum("mk,mkl,ml->m", bias, fi, bias), 0.0))
     unresolved = sigmas > _MIN_RESOLUTION
     errors = {}

@@ -173,11 +173,13 @@ PARAM_LABELS_SPHERICAL = ("theta", "cap_theta", "cap_phi")
 
 def qfi_rotation_matrix(state: SpinState, p: RotationParams) -> QfiMatrix:
     """3x3 rotation QFI matrix Q = 4 (M^T G)^T C(psi) (M^T G)."""
-    cov = cov_matrix(state).c
-    g = generator_frame(p).matrix()
+    return _qfi_from_frame(state, p, generator_frame(p).matrix(), PARAM_LABELS_SPHERICAL)
+
+
+def _qfi_from_frame(state: SpinState, p: RotationParams, g: np.ndarray, labels) -> QfiMatrix:
+    """qfi_rotation_matrix in the chart ``labels`` with generator vectors g[:, k]."""
     gt = so3_matrix(p).T @ g
-    q = 4.0 * gt.T @ cov @ gt
-    return _finish_fi_matrix(q, PARAM_LABELS_SPHERICAL)
+    return _finish_fi_matrix(4.0 * gt.T @ cov_matrix(state).c @ gt, labels)
 
 
 def reparametrize(fi: QfiMatrix, jacobian: np.ndarray, new_labels) -> QfiMatrix:

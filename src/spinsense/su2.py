@@ -230,6 +230,16 @@ def generator_frame(p) -> GeneratorFrame:
     return GeneratorFrame(g_theta=n, g_cap_theta=g_T, g_cap_phi=g_F)
 
 
+def cartesian_frame(omega) -> np.ndarray:
+    """Generator vectors of the Cartesian chart R = exp(-i J.omega), the columns of
+    I + a [omega]x + b [omega]x^2, [omega]x v = omega x v, with a = (1 - cos t)/t^2 and
+    b = (t - sin t)/t^3 at t = |omega|, or their t = 0 values 1/2 and 1/6 below t = 1e-4."""
+    t = float(np.linalg.norm(omega))
+    a, b = (0.5, 1 / 6) if t < 1e-4 else ((1 - math.cos(t)) / t**2, (t - math.sin(t)) / t**3)
+    wx = -_LEVI_CIVITA @ np.asarray(omega, dtype=float)
+    return np.eye(3) + a * wx + b * wx @ wx
+
+
 _PARAM_INDEX = {"theta": 0, "cap_theta": 1, "cap_phi": 2}
 
 

@@ -203,6 +203,79 @@ class TestQfiCommand:
         assert "rank 3" in capsys.readouterr().out
 
 
+# rotations (theta, cap_theta, cap_phi) at which a chart of the qfi command is
+# singular or was once computed through another chart, then four generic ones
+CHART_ROTATIONS = [(0.0, 0.9, 2.0), (0.8, 0.0, 0.0), (1e-6, 0.9, 2.0),
+                   (math.pi, math.pi / 2, 0.0), (0.8, 1.0, 0.5), (2.5, 2.0, 4.0),
+                   (0.9, 1.1, 0.8), (3.0, 0.3, 5.5)]
+
+
+def _chart_probe(name):
+    from spinsense.states import SpinState, king_state
+    if name == "king":
+        return king_state(HalfInt(6))
+    amps = [1.0, 1j] @ np.random.default_rng(3).standard_normal((2, 7))
+    return SpinState(HalfInt(6), amps / np.linalg.norm(amps))
+
+
+def _oracle_qfi(psi0, chart, x):
+    """Q_ij = 4 Re(<d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi>), from
+    step-1e-5 central differences of states built by matrix exponentials in
+    the chart's own coordinates x."""
+    from scipy.linalg import expm
+    from spinsense.su2 import make_operators
+    jx, jy, jz = make_operators(HalfInt(6)).vector()
+
+    def rotated(c):
+        if chart == "spherical":
+            t, ct, cp = c
+            c = t * np.array([math.sin(ct) * math.cos(cp), math.sin(ct) * math.sin(cp),
+                              math.cos(ct)])
+        if chart == "euler-zyz":
+            return expm(-1j * c[0] * jz) @ expm(-1j * c[1] * jy) @ expm(-1j * c[2] * jz) @ psi0
+        return expm(-1j * (c[0] * jx + c[1] * jy + c[2] * jz)) @ psi0
+
+    psi = rotated(x)
+    step = 1e-5 * np.eye(3)
+    d = [(rotated(x + h) - rotated(x - h)) / 2e-5 for h in step]
+    return np.array([[4.0 * (np.vdot(a, b) - np.vdot(a, psi) * np.vdot(psi, b)).real
+                      for b in d] for a in d])
+
+
+@pytest.mark.parametrize("rot", CHART_ROTATIONS, ids=str)
+@pytest.mark.parametrize("probe", ["king", "random"])
+def test_qfi_charts_match_finite_difference_oracle(tmp_path, capsys, probe, rot):
+    # every chart's QFI, from its own generator vectors, against differences
+    # of the rotated state in that chart's coordinates, including at theta = 0,
+    # on the z axis and at a half turn, where the Euler chart has beta = pi
+    from spinsense.cli import _params_to_euler_zyz
+    from spinsense.serialize import dump_json, state_to_dict
+    from spinsense.su2 import RotationParams
+    state = _chart_probe(probe)
+    state_file, out = tmp_path / "probe.json", tmp_path / "qfi.json"
+    dump_json(state_to_dict(state), state_file)
+    p = RotationParams(*rot)
+    coords = {"spherical": p.as_array(), "cartesian": p.omega,
+              "euler-zyz": _params_to_euler_zyz(p)}
+    for chart, x in coords.items():
+        assert run_cli(["qfi", state_file, "--theta", repr(rot[0]), "--cap-theta", repr(rot[1]),
+                        "--cap-phi", repr(rot[2]), "--parametrization", chart,
+                        "--out", out]) == 0, chart
+        q = np.array(json.loads(out.read_text())["matrix"])
+        assert np.max(np.abs(q - _oracle_qfi(state.amps, chart, x))) < 1e-7, chart
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("rot", CHART_ROTATIONS, ids=str)
+def test_euler_angles_reconstruct_the_rotation(rot):
+    from spinsense.cli import _params_to_euler_zyz
+    from spinsense.su2 import RotationParams, omega_so3, so3_matrix
+    p = RotationParams(*rot)
+    alpha, beta, gamma = _params_to_euler_zyz(p)
+    rebuilt = omega_so3([0, 0, alpha]) @ omega_so3([0, beta, 0]) @ omega_so3([0, 0, gamma])
+    assert np.max(np.abs(rebuilt - so3_matrix(p))) < 1e-12
+
+
 class TestCrbCommand:
     def test_bound(self, tmp_path, capsys):
         state_file = tmp_path / "king.json"
