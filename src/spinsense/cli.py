@@ -99,17 +99,33 @@ def _euler_zyz_frame(alpha, beta, _gamma) -> np.ndarray:
     return np.array([[0.0, -sa, sb * ca], [0.0, ca, sb * sa], [1.0, 0.0, cb]])
 
 
-# each qfi chart's parameter labels and generator vectors at a rotation
+# each qfi chart's parameter labels, generator vectors at a rotation, and singular set
+_REGULAR = "qfi --parametrization cartesian is regular there below a full turn"
 _CHARTS = {
-    "spherical": (metrology.PARAM_LABELS_SPHERICAL, lambda p: su2.generator_frame(p).matrix()),
-    "cartesian": (("omega_x", "omega_y", "omega_z"), lambda p: su2.cartesian_frame(p.omega)),
-    "euler-zyz": (("alpha", "beta", "gamma"), lambda p: _euler_zyz_frame(*_params_to_euler_zyz(p)))}
+    "spherical": (metrology.PARAM_LABELS_SPHERICAL, lambda p: su2.generator_frame(p).matrix(),
+                  f"the spherical chart is singular at theta = 0 or 2 pi and at cap_theta = 0 "
+                  f"or pi; {_REGULAR}"),
+    "cartesian": (("omega_x", "omega_y", "omega_z"), lambda p: su2.cartesian_frame(p.omega),
+                  "the Cartesian chart is singular at a full turn, theta = 2 pi; the same "
+                  "rotation is theta = 0, where it is regular"),
+    "euler-zyz": (("alpha", "beta", "gamma"), lambda p: _euler_zyz_frame(*_params_to_euler_zyz(p)),
+                  f"the ZYZ Euler chart has gimbal lock at beta = 0 or pi; {_REGULAR}")}
+
+
+def _diagnosis(state, fi, chart):
+    """singular_diagnosis of the chart's QFI of ``state`` by the probe's covariance, and the
+    lines naming its classification and, for a deficit of the chart, the chart's singular set."""
+    report = metrology.singular_diagnosis(fi, cov=metrology.cov_matrix(state).c)
+    lines = [f"classification: {report.classification}"]
+    if report.classification in ("coordinate_singularity", "state_and_coordinate"):
+        lines.append(f"hint: {_CHARTS[chart][2]}")
+    return report, lines
 
 
 def cmd_qfi(args) -> int:
     state = serialize.load_spin_state_file(args.state)
     p = su2.RotationParams(args.theta, args.cap_theta, args.cap_phi)
-    labels, frame = _CHARTS[args.parametrization]
+    labels, frame, _ = _CHARTS[args.parametrization]
     fi = metrology._qfi_from_frame(state, p, frame(p), labels)
     payload = serialize.qfi_to_dict(fi)
     print(f"QFI matrix ({', '.join(fi.param_labels)}), rank {fi.rank}:")
@@ -119,16 +135,10 @@ def cmd_qfi(args) -> int:
     if fi.rank == fi.dim:
         print(f"Tr Q^-1 = {fi.trace_inverse():.6e}")
     else:
-        report = metrology.singular_diagnosis(
-            fi, perturbed=metrology.rotation_qfi_perturber(state, p)
-            if args.parametrization == "spherical" else None)
+        report, lines = _diagnosis(state, fi, args.parametrization)
         print("matrix is singular; pseudoinverse bound on the estimable block:")
         print(f"Tr pinv = {report.estimable_bound_trace:.6e}")
-        print(f"classification: {report.classification}")
-        if report.classification == "coordinate_singularity":
-            print("hint: a coordinate singularity; switching charts (for "
-                  "example --parametrization cartesian at or near theta = 0) "
-                  "restores full rank")
+        print("\n".join(lines))
         for col in fi.null_basis.T:
             print("inestimable direction: "
                   + "  ".join(f"{x: .6f}" for x in col))
@@ -143,7 +153,11 @@ def cmd_crb(args) -> int:
     state = serialize.load_spin_state_file(args.state)
     p = su2.RotationParams(args.theta, args.cap_theta, args.cap_phi)
     fi = metrology.qfi_rotation_matrix(state, p)
-    bound = metrology.crb(fi, args.n_shots)
+    try:
+        bound = metrology.crb(fi, args.n_shots)
+    except SingularInformationError:
+        lines = [f"QFI matrix is singular (rank {fi.rank})", *_diagnosis(state, fi, "spherical")[1]]
+        raise SingularInformationError("; ".join(lines), matrix=fi.q) from None
     payload = {
         "bound": [[float(x) for x in row] for row in bound.bound],
         "trace": bound.trace,

@@ -37,7 +37,8 @@ class SingularInformationError(SpinSenseError):
     """A Fisher-information matrix that must be inverted is singular.
 
     Callers should run `metrology.singular_diagnosis` on the matrix to find
-    which parameter combinations are inestimable.
+    which parameter combinations are inestimable; given the probe's covariance,
+    it also tells a deficit of the chart from one of the probe.
     """
 
     def __init__(self, message, matrix=None):

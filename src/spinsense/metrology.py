@@ -47,8 +47,8 @@ class SensCov:
         return float(np.sum(1.0 / self.eigenvalues()))
 
     def is_singular(self) -> bool:
-        eigs = self.eigenvalues()
-        return bool(eigs[0] <= _RANK_RTOL * max(eigs[-1], 1.0))
+        """Rank below 3 by _rank_split, the rule of every information matrix."""
+        return bool(_rank_split(self.c)[3].any())
 
 
 @dataclass(frozen=True)
@@ -194,23 +194,6 @@ def reparametrize(fi: QfiMatrix, jacobian: np.ndarray, new_labels) -> QfiMatrix:
     return _finish_fi_matrix(jac.T @ fi.q @ jac, new_labels)
 
 
-def spherical_to_cartesian_jacobian(p: RotationParams) -> np.ndarray:
-    """Jacobian d(theta, cap_theta, cap_phi)/d(omega) at p, for omega = theta n.
-
-    Singular at theta = 0 (coordinate singularity of the spherical chart).
-    """
-    if p.theta < 1e-300:
-        raise DomainError("spherical chart Jacobian is undefined at theta = 0")
-    st, ct = math.sin(p.cap_theta), math.cos(p.cap_theta)
-    cp, sp = math.cos(p.cap_phi), math.sin(p.cap_phi)
-    rows = [p.axis,
-            np.array([ct * cp, ct * sp, -st]) / p.theta]
-    if st < 1e-300:
-        raise DomainError("azimuth is undefined on the polar axis")
-    rows.append(np.array([-sp, cp, 0.0]) / (p.theta * st))
-    return np.vstack(rows)
-
-
 def avg_qfi(state: SpinState) -> float:
     """Angle-averaged known-axis QFI: (4/3) Tr C."""
     return float(4.0 / 3.0 * cov_matrix(state).trace)
@@ -312,29 +295,33 @@ class SingularityReport:
     pseudo_inverse: np.ndarray
     estimable_bound_trace: float
     classification: str            # "full_rank" | "coordinate_singularity"
-    #                              | "state_deficiency" | "undetermined"
+    #                              | "state_and_coordinate" | "state_deficiency"
+    #                              | "undetermined"
 
 
-def singular_diagnosis(fi: QfiMatrix, perturbed=None) -> SingularityReport:
+def singular_diagnosis(fi: QfiMatrix, cov=None) -> SingularityReport:
     """Rank, inestimable directions, and pseudoinverse bound for ``fi``.
 
-    ``perturbed``: optional callable (scale, rng) -> QfiMatrix recomputed at
-    randomly perturbed parameters; when provided, it is called five times at
-    scale 1e-3 with one generator seeded 0, and a rank that recovers under
-    perturbation is classified as a coordinate singularity, a persistent
-    deficit as a state deficiency.
+    ``cov``: optional 3x3 angular momentum covariance C of the probe whose
+    rotation QFI ``fi`` is, in any chart.  There Q = 4 (M^T G)^T C (M^T G) with
+    M a rotation and G the chart's generator vectors, and the Cartesian G is
+    invertible below a full turn, so rank C is the best rank any chart reaches.
+    A singular Q is a coordinate singularity when rank C = 3, a state
+    deficiency when rank Q = rank C, and both ("state_and_coordinate") when
+    rank Q < rank C < 3; both ranks are counted by _rank_split.  Without
+    ``cov`` a singular matrix is "undetermined".
     """
     _, eigs, vecs, null = _rank_split(fi.q)
     inv_eigs = np.where(null, 0.0, 1.0 / np.where(null, 1.0, eigs))
     pinv = (vecs * inv_eigs) @ vecs.T
     if fi.rank == fi.dim:
         classification = "full_rank"
-    elif perturbed is None:
+    elif cov is None:
         classification = "undetermined"
     else:
-        rng = np.random.default_rng(0)
-        recovered = any(perturbed(1e-3, rng).rank > fi.rank for _ in range(5))
-        classification = "coordinate_singularity" if recovered else "state_deficiency"
+        cov_rank = 3 - int(_rank_split(cov)[3].sum())
+        classification = ("coordinate_singularity" if cov_rank == 3 else
+                          "state_and_coordinate" if fi.rank < cov_rank else "state_deficiency")
     return SingularityReport(
         rank=fi.rank,
         null_basis=fi.null_basis,
@@ -342,19 +329,6 @@ def singular_diagnosis(fi: QfiMatrix, perturbed=None) -> SingularityReport:
         estimable_bound_trace=float(np.trace(pinv)),
         classification=classification,
     )
-
-
-def rotation_qfi_perturber(state: SpinState, p: RotationParams):
-    """Callable handing singular_diagnosis the rotation QFI at a randomly
-    perturbed parameter point."""
-
-    def perturbed(scale, rng):
-        raw = p.as_array() + scale * rng.standard_normal(3)
-        raw[0] = abs(raw[0])
-        raw[1] = min(max(raw[1], 1e-6), math.pi - 1e-6)
-        return qfi_rotation_matrix(state, RotationParams(raw[0], raw[1], raw[2]))
-
-    return perturbed
 
 
 @dataclass(frozen=True)

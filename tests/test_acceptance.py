@@ -19,15 +19,14 @@ from spinsense.errors import NonIdentifiableError
 from spinsense.estimation import (born_derivatives, husimi_experiment,
                                   monte_carlo_qcrb, optimal_pvm)
 from spinsense.majorana import constellation
-from spinsense.metrology import (avg_variance, classical_fi, cov_matrix, crb,
-                                 qfi_rotation_matrix, reparametrize,
-                                 rotation_qfi_perturber, singular_diagnosis,
-                                 spherical_to_cartesian_jacobian)
+from spinsense.metrology import (_qfi_from_frame, avg_variance, classical_fi,
+                                 cov_matrix, crb, qfi_rotation_matrix,
+                                 singular_diagnosis)
 from spinsense.states import (BlochPoint, SpinState, balanced_state, basis_state,
                               coherent_state, king_state, noon_state)
-from spinsense.su2 import (HalfInt, RotationParams, compose, generator_frame,
-                           make_operators, numerical_generator, rotation_unitary,
-                           so3_matrix)
+from spinsense.su2 import (HalfInt, RotationParams, cartesian_frame, compose,
+                           generator_frame, make_operators, numerical_generator,
+                           rotation_unitary, so3_matrix)
 from spinsense.twomode import (coherent_plus_squeezed, decompose, default_n_max,
                                spin_moments, squeezed_n_max, two_mode_coherent)
 
@@ -326,7 +325,7 @@ def test_criterion_10_singularity_diagnostics():
         p = RotationParams(1.0, 1.2, 0.5)
         fi = qfi_rotation_matrix(st, p)
         assert fi.rank == 2
-        rep = singular_diagnosis(fi, perturbed=rotation_qfi_perturber(st, p))
+        rep = singular_diagnosis(fi, cov=cov_matrix(st).c)
         assert rep.classification == "state_deficiency"
         gt = so3_matrix(p).T @ generator_frame(p).matrix()
         axis = st.mean_spin()
@@ -339,9 +338,8 @@ def test_criterion_10_singularity_diagnostics():
         p0 = RotationParams(1e-6, 0.9, 2.0)
         fi0 = qfi_rotation_matrix(king, p0)
         assert fi0.rank == 1
-        rep0 = singular_diagnosis(fi0, perturbed=rotation_qfi_perturber(king, p0))
+        rep0 = singular_diagnosis(fi0, cov=cov_matrix(king).c)
         assert rep0.classification == "coordinate_singularity"
-        repaired = reparametrize(fi0, spherical_to_cartesian_jacobian(p0),
-                                 ("wx", "wy", "wz"))
+        repaired = _qfi_from_frame(king, p0, cartesian_frame(p0.omega), ("wx", "wy", "wz"))
         assert repaired.rank == 3
         assert np.max(np.abs(repaired.q - 16.0 * np.eye(3))) < 0.01

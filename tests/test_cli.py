@@ -211,9 +211,11 @@ CHART_ROTATIONS = [(0.0, 0.9, 2.0), (0.8, 0.0, 0.0), (1e-6, 0.9, 2.0),
 
 
 def _chart_probe(name):
-    from spinsense.states import SpinState, king_state
+    from spinsense.states import BlochPoint, SpinState, coherent_state, king_state
     if name == "king":
         return king_state(HalfInt(6))
+    if name == "coherent":
+        return coherent_state(HalfInt(6), BlochPoint(0.7, 0.4))
     amps = [1.0, 1j] @ np.random.default_rng(3).standard_normal((2, 7))
     return SpinState(HalfInt(6), amps / np.linalg.norm(amps))
 
@@ -276,6 +278,38 @@ def test_euler_angles_reconstruct_the_rotation(rot):
     assert np.max(np.abs(rebuilt - so3_matrix(p))) < 1e-12
 
 
+# (spherical, cartesian, euler-zyz) classification of each probe's QFI at theta = 0,
+# on the z axis, at a half turn about x (beta = pi), at a full turn and at a generic
+# rotation: F full_rank, C coordinate_singularity, S state_deficiency and B
+# state_and_coordinate.  The King and the random probe have full-rank covariance,
+# the coherent probe rank 2.
+DIAGNOSIS_ROTATIONS = [(0.0, 0.9, 2.0), (0.8, 0.0, 0.0), (math.pi, math.pi / 2, 0.0),
+                       (2 * math.pi, 0.9, 2.0), (1.0, 1.2, 0.5)]
+DIAGNOSES = {"king": ["CFC", "CFC", "FFC", "CCC", "FFF"],
+             "coherent": ["BSS", "SSS", "SSS", "BBS", "SSS"],
+             "random": ["CFC", "CFC", "FFC", "CCC", "FFF"]}
+_CLASSIFICATION = {"F": "full_rank", "C": "coordinate_singularity", "S": "state_deficiency",
+                   "B": "state_and_coordinate"}
+
+
+@pytest.mark.parametrize("k", range(len(DIAGNOSIS_ROTATIONS)))
+@pytest.mark.parametrize("probe", list(DIAGNOSES))
+def test_qfi_classifies_every_chart_by_the_covariance_rank(tmp_path, capsys, probe, k):
+    from spinsense.serialize import dump_json, state_to_dict
+    state_file, out = tmp_path / "probe.json", tmp_path / "qfi.json"
+    dump_json(state_to_dict(_chart_probe(probe)), state_file)
+    rot = DIAGNOSIS_ROTATIONS[k]
+    for chart, code in zip(("spherical", "cartesian", "euler-zyz"), DIAGNOSES[probe][k]):
+        assert run_cli(["qfi", state_file, "--theta", repr(rot[0]), "--cap-theta", repr(rot[1]),
+                        "--cap-phi", repr(rot[2]), "--parametrization", chart,
+                        "--out", out]) == 0, chart
+        expect = _CLASSIFICATION[code]
+        assert json.loads(out.read_text()).get("diagnosis", "full_rank") == expect, chart
+        text = capsys.readouterr().out
+        # a deficit of the chart names the chart's singular set
+        assert ("hint: " in text) == (code in "CB"), chart
+
+
 class TestCrbCommand:
     def test_bound(self, tmp_path, capsys):
         state_file = tmp_path / "king.json"
@@ -295,6 +329,21 @@ class TestCrbCommand:
         code = run_cli(["crb", state_file, "--theta", "1.0", "--cap-theta", "1.2",
                         "--cap-phi", "0.5"])
         assert code == 3
+
+    @pytest.mark.parametrize("family, rot, classification", [
+        (["king"], (0.0, 0.9, 2.0), "coordinate_singularity"),
+        (["coherent", "--polar", "0.7", "--azimuth", "0.4"], (1.0, 1.2, 0.5),
+         "state_deficiency")])
+    def test_singular_message_classifies(self, tmp_path, capsys, family, rot, classification):
+        state_file = tmp_path / "probe.json"
+        run_cli(["state", *family, "--j", "3", "--out", state_file])
+        capsys.readouterr()
+        assert run_cli(["crb", state_file, "--theta", rot[0], "--cap-theta", rot[1],
+                        "--cap-phi", rot[2]]) == 3
+        err = capsys.readouterr().err
+        assert f"classification: {classification}" in err
+        # only a deficit of the chart points to a chart that is regular there
+        assert ("qfi --parametrization cartesian" in err) == (classification != "state_deficiency")
 
 
 class TestSimulateCommand:
@@ -399,14 +448,16 @@ def _readme_tour():
     return [words[1:] for words in lines if words[:1] == ["spinsense"]]
 
 
-def test_readme_tour(tmp_path, monkeypatch):
-    # every documented command, in order, from a directory holding configs/
+def test_readme_tour(tmp_path, monkeypatch, capsys):
+    # every documented command, in order, from a directory holding configs/;
+    # every singular matrix it shows is classified
     shutil.copytree(ROOT / "configs", tmp_path / "configs")
     monkeypatch.chdir(tmp_path)
     tour = _readme_tour()
     assert tour
     for argv in tour:
         assert main(argv) == 0, argv
+        assert "undetermined" not in capsys.readouterr().out, argv
 
 
 def test_readme_lists_every_probe_family():

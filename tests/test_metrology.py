@@ -5,15 +5,14 @@ import pytest
 
 from conftest import random_params, random_pure_state
 from spinsense.errors import DomainError, SingularInformationError
-from spinsense.metrology import (avg_qfi, avg_variance, classical_fi, cov_matrix,
-                                 crb, fi_from_model, gaussian_fi, qfi_rotation_matrix,
-                                 qfi_single_mixed, qfi_single_pure, reparametrize,
-                                 rotation_qfi_perturber, singular_diagnosis, sld,
-                                 spherical_to_cartesian_jacobian)
+from spinsense.metrology import (SensCov, _qfi_from_frame, avg_qfi, avg_variance,
+                                 classical_fi, cov_matrix, crb, fi_from_model, gaussian_fi,
+                                 qfi_rotation_matrix, qfi_single_mixed, qfi_single_pure,
+                                 reparametrize, singular_diagnosis, sld)
 from spinsense.states import (BlochPoint, SpinState, basis_state, balanced_state,
                               cat_state, coherent_state, king_state, noon_state)
-from spinsense.su2 import (HalfInt, RotationParams, generator_frame, make_operators,
-                           rotation_unitary, so3_matrix)
+from spinsense.su2 import (HalfInt, RotationParams, cartesian_frame, generator_frame,
+                           make_operators, rotation_unitary, so3_matrix)
 
 
 class TestCovMatrix:
@@ -63,6 +62,12 @@ class TestCovMatrix:
         for _ in range(10):
             st = random_pure_state(j, rng)
             assert not cov_matrix(st).is_singular()
+
+    def test_singular_by_relative_gap(self):
+        # the rank rule of every information matrix: a relative gap of 5e-10
+        # is full rank however small the covariance
+        assert not SensCov(c=np.diag([5e-12, 1e-2, 1e-2])).is_singular()
+        assert SensCov(c=np.diag([5e-13, 1e-2, 1e-2])).is_singular()
 
 
 class TestQfiSingle:
@@ -298,20 +303,24 @@ class TestReparametrize:
         st = king_state(HalfInt(6))
         p = RotationParams(0.3, 1.0, 1.1)
         fi = qfi_rotation_matrix(st, p)
-        jac = spherical_to_cartesian_jacobian(p)
+        # d(theta, cap_theta, cap_phi)/d(omega) from the two charts' generator vectors
+        jac = np.linalg.solve(generator_frame(p).matrix(), cartesian_frame(p.omega))
         out = reparametrize(fi, jac, ("wx", "wy", "wz"))
         assert out.rank == 3
         assert abs(out.det() - fi.det() * np.linalg.det(jac) ** 2) < 1e-8
         # the Cartesian determinant stays finite and approaches 16^3 as
         # theta -> 0 (the spherical chart's determinant vanishes there)
         gaps = []
-        for theta in (0.1, 0.01):
+        for theta in (0.3, 0.1, 0.01):
             pt = RotationParams(theta, 1.0, 1.1)
-            fit = reparametrize(qfi_rotation_matrix(st, pt),
-                                spherical_to_cartesian_jacobian(pt), ("x", "y", "z"))
+            g_sph, g_cart = generator_frame(pt).matrix(), cartesian_frame(pt.omega)
+            fit = reparametrize(qfi_rotation_matrix(st, pt), np.linalg.solve(g_sph, g_cart),
+                                ("x", "y", "z"))
+            direct = _qfi_from_frame(st, pt, g_cart, ("x", "y", "z"))
+            assert np.max(np.abs(fit.q - direct.q)) < 1e-9, theta
             gaps.append(abs(fit.det() - 16.0 ** 3))
-        assert gaps[1] < gaps[0]
-        assert gaps[1] < 0.5
+        assert gaps[2] < gaps[1]
+        assert gaps[2] < 0.5
 
     def test_dimension_mismatch(self):
         st = king_state(HalfInt(6))
@@ -453,7 +462,7 @@ class TestSingularDiagnosis:
         st = coherent_state(HalfInt(6), BlochPoint(0.7, 0.4))
         p = RotationParams(1.0, 1.2, 0.5)
         fi = qfi_rotation_matrix(st, p)
-        rep = singular_diagnosis(fi, perturbed=rotation_qfi_perturber(st, p))
+        rep = singular_diagnosis(fi, cov=cov_matrix(st).c)
         assert fi.rank == 2
         assert rep.classification == "state_deficiency"
         # the null direction maps back to the probe's symmetry axis
@@ -468,8 +477,10 @@ class TestSingularDiagnosis:
         p = RotationParams(1e-6, 0.9, 2.0)
         fi = qfi_rotation_matrix(st, p)
         assert fi.rank == 1
-        rep = singular_diagnosis(fi, perturbed=rotation_qfi_perturber(st, p))
+        rep = singular_diagnosis(fi, cov=cov_matrix(st).c)
         assert rep.classification == "coordinate_singularity"
+        # without the probe's covariance the deficit cannot be placed
+        assert singular_diagnosis(fi).classification == "undetermined"
         # rank recovers at a slightly larger angle
         assert qfi_rotation_matrix(st, RotationParams(1e-3, 0.9, 2.0)).rank == 3
 
