@@ -9,20 +9,28 @@ and a rotation of the state by M moves stars by diag(-1,-1,1) M diag(-1,-1,1);
 the rotational-covariance test pins this convention.
 
 Stars are found by rotate-to-pole deflation.  Amplitudes that are exactly
-zero at either end of the basis are exact stars at a pole, and ``np.roots``
-finds every other root once.  A root is a simple star when rounding moves it
-(eps sum_k |c_k| |z|^k / |p'(z)|) by less than 1e-3 of its distance to the
-nearest other root.  The others (a multiple root comes out as a ring) are
-grouped by single linkage on the sphere, at chordal scales falling from the
-whole sphere to 5e-7.  A group's centre is its mean in a stereographic
-chart, well conditioned even when its roots are not (Zeng, Math. Comp. 74,
-2005).  The state is rotated to carry the centre to the north pole, where a
+zero at either end of the basis are exact stars at a pole.  A state with
+other stars is first tested as one 2J-fold star at the mirror image
+(-<Jx>, -<Jy>, <Jz>) / |<J>| of its mean spin, which it is exactly when it
+is coherent (|<J>| = J); the frame test (below) runs only when |<J>| is
+within a relative 1e-9 of J.  Otherwise ``np.roots`` finds every other root
+once (a companion matrix that overflows raises ``RootFindingError``).  A
+multiple root comes out as a ring; rings are grouped by single linkage on
+the sphere, at chordal scales falling from the whole sphere to 5e-7.  A
+group's centre is its mean in a stereographic chart, well conditioned even
+when its roots are not (Zeng, Math. Comp. 74, 2005).  The state is rotated to carry the centre to the north pole, where a
 k-fold star makes the trailing k amplitudes vanish, and two Newton steps on
 p^(k-1) there, delta = -c_{k-1} / (k c_k), correct the centre.  The k roots
 are one k-fold star when, in the frame of the corrected centre, the trailing
 k amplitudes are below 1e-10 of the norm and the next is above 1e-6 (the
 frame must see the star, not only a region where every amplitude is small).
-A root that no group accounts for raises ``RootFindingError``.
+A root is a simple star when it stands alone at some scale and rounding
+moves it (eps sum_k |c_k| |z|^k / |p'(z)|) by less than 1e-3 of its
+distance to the nearest other root.  Simple roots are not accepted before
+the linkage: members of a ring can pass that isolation test too, and taking
+them first leaves the rest of the ring to fail the frame test (rotated
+|J, m> states then read single stars or raise).  A root that no group
+accounts for raises ``RootFindingError``.
 """
 
 from dataclasses import dataclass
@@ -38,6 +46,7 @@ from .su2 import _rx
 _VANISH_TOL = 1e-10        # rotated-frame amplitude of a unit state treated as zero
 _SEEN_TOL = 1e-6           # the amplitude after a k-fold star's vanishing tail must reach this
 _ISOLATION = 1e-3          # simple star: rounding radius / distance to the nearest other root
+_COHERENT_GATE = 1e-9      # |<J>| below J (1 - this) skips the coherent test, which no such state passes
 _LINKAGE_SCALES = 2.0 * 4.0 ** -np.arange(12)   # chordal scales, whole sphere down to 5e-7
 
 
@@ -173,26 +182,24 @@ def _root_points(c, roots):
     """Roots as unit vectors, and the radius eps * sum_k |c_k| |x|^k / |p'(x)|
     within which rounding leaves each root, in chordal units; each root is
     taken in the stereographic chart of its hemisphere (z, or 1/z with the
-    reversed coefficients)."""
+    reversed coefficients), so |x| <= 1 and one table of powers serves both."""
     south = np.abs(roots) > 1.0
     x = np.where(south, 1.0 / np.where(south, roots, 1.0), roots)
-    radius = np.empty(len(x))
-    for sel, coeffs in ((~south, c), (south, c[::-1])):
-        dp = np.polynomial.polynomial.polyval(x[sel], np.polynomial.polynomial.polyder(coeffs))
-        bound = np.polynomial.polynomial.polyval(np.abs(x[sel]), np.abs(coeffs))
-        with np.errstate(divide="ignore"):
-            radius[sel] = np.finfo(float).eps * bound / np.abs(dp)
+    coeffs = np.where(south[:, None], c[::-1], c)
+    powers = np.vander(x, len(c), increasing=True)
+    dp = np.einsum("ij,ij->i", powers[:, :-1], np.arange(1, len(c)) * coeffs[:, 1:])
+    bound = np.einsum("ij,ij->i", np.abs(powers), np.abs(coeffs))
+    with np.errstate(divide="ignore"):
+        radius = np.finfo(float).eps * bound / np.abs(dp)
     points = np.where(south[:, None], _sphere(x, south=True), _sphere(x))
     return points, radius * 2.0 / (1.0 + np.abs(x) ** 2)
 
 
-def _frame_test(amps, n, points, groups):
-    """Rotate-to-pole test of root groups, batched: each group's corrected
-    centre, and whether it is a star of multiplicity k = len(group): in the
-    frame of that centre the trailing k amplitudes vanish and the next one
-    does not."""
-    k = np.array([len(g) for g in groups])
-    centre = np.array([_chart_mean(points[g]) for g in groups])
+def _frame_test(amps, n, centre, k):
+    """Rotate-to-pole test of candidate stars, batched: each candidate
+    centre (rows of unit vectors) corrected, and whether it is a star of
+    multiplicity k: in the frame of the corrected centre the trailing k
+    amplitudes vanish and the next one does not."""
     with np.errstate(invalid="ignore", over="ignore"):     # nan centres fail the test
         for _ in range(2):
             chi, theta, phi = _rotate_to_pole(amps, n, centre)
@@ -203,6 +210,31 @@ def _frame_test(amps, n, points, groups):
     return centre, vanish & seen
 
 
+def _mirror_mean_spin(amps, n):
+    """(-<Jx>, -<Jy>, <Jz>) of the unit amplitude vector, from <J+> in O(dim)
+    (``su2.angular_momentum_moments`` would build and cache the dense
+    operators of every 2J it meets)."""
+    i = np.arange(1, n + 1)
+    jp = np.vdot(amps[:-1], np.sqrt(i * (n + 1.0 - i)) * amps[1:])
+    jz = np.abs(amps) ** 2 @ (n / 2.0 - np.arange(n + 1))
+    return np.array([-jp.real, -jp.imag, jz])
+
+
+def _roots(c):
+    """Roots of sum_k c_k z^k (c[-1] != 0) by ``np.roots``; a companion
+    matrix that overflows, when the leading coefficient is tiny against the
+    others, raises RootFindingError."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        try:
+            roots = np.roots(c[::-1])
+            if np.isfinite(roots).all():
+                return roots
+        except np.linalg.LinAlgError:
+            pass
+    raise RootFindingError("the root solve overflowed: the leading Majorana coefficient "
+                           f"{abs(c[-1]):.3g} is too small against the others")
+
+
 def _stars(amps):
     """Stars of the unit amplitude vector ``amps`` (basis m = +J ... -J):
     unit vectors, shape (s, 3), and multiplicities (s,)."""
@@ -210,7 +242,15 @@ def _stars(amps):
     nonzero = np.flatnonzero(amps)
     n_south, n_north = nonzero[0], n - nonzero[-1]
     c = (_sqrt_binomials(n) * amps[::-1])[n_north:n + 1 - n_south]
-    roots = np.roots(c[::-1]) if len(c) > 1 else np.empty(0, dtype=complex)
+    roots = np.empty(0, dtype=complex)
+    if len(c) > 1:
+        mean = _mirror_mean_spin(amps, n)
+        size = np.linalg.norm(mean)
+        if size >= 0.5 * n * (1.0 - _COHERENT_GATE):
+            centre, ok = _frame_test(amps, n, mean[None] / size, np.array([n]))
+            if ok[0]:
+                return centre, np.array([n])
+        roots = _roots(c)
     raw, radius = _root_points(c, roots)
     pole = np.repeat([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]], [n_south, n_north], axis=0)
     points = np.concatenate([raw, pole])
@@ -238,7 +278,8 @@ def _stars(amps):
             elif tuple(g) not in failed:
                 test.append(g)
         if test:
-            centre, ok = _frame_test(amps, n, points, test)
+            centre, ok = _frame_test(amps, n, np.array([_chart_mean(points[g]) for g in test]),
+                                     np.array([len(g) for g in test]))
             for g, good, point in zip(test, ok, centre):
                 if good:
                     found.append(point[None])

@@ -34,21 +34,22 @@ class SensCov:
     def trace(self) -> float:
         return float(np.trace(self.c))
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.c)
+    def regular_eigenvalues(self):
+        """Ascending eigenvalues, or None when C is singular: rank below 3 by
+        _rank_split, the rule of every information matrix."""
+        _, eigs, _, null = _rank_split(self.c)
+        return None if null.any() else eigs
 
     def det(self) -> float:
         return float(np.linalg.det(self.c))
 
     def trace_inverse(self) -> float:
         """Tr C^-1, +inf when C is singular at the rank tolerance."""
-        if self.is_singular():
-            return math.inf
-        return float(np.sum(1.0 / self.eigenvalues()))
+        lam = self.regular_eigenvalues()
+        return math.inf if lam is None else float(np.sum(1.0 / lam))
 
     def is_singular(self) -> bool:
-        """Rank below 3 by _rank_split, the rule of every information matrix."""
-        return bool(_rank_split(self.c)[3].any())
+        return self.regular_eigenvalues() is None
 
 
 @dataclass(frozen=True)
@@ -208,12 +209,11 @@ def avg_variance(state: SpinState) -> float:
     when the covariance matrix is singular (the probe is an eigenstate of
     some J.n), where the average diverges.
     """
-    cov = cov_matrix(state)
-    if cov.is_singular():
+    lam = cov_matrix(state).regular_eigenvalues()
+    if lam is None:
         return math.inf
     from scipy.special import elliprf
 
-    lam = cov.eigenvalues()
     return float(elliprf(*(1.0 / lam)) / (4.0 * math.sqrt(np.prod(lam))))
 
 

@@ -102,6 +102,19 @@ class TestConstellationCommand:
         for b in blocks:
             assert sum(s["multiplicity"] for s in b["stars"]) == b["N"]
 
+    def test_overflowing_root_solve_exits_numerical(self, tmp_path, capsys):
+        # a leading amplitude of 1e-320 overflows the root solve: a typed
+        # RootFindingError, not a traceback
+        from spinsense.cli import _NUMERICAL_EXIT
+        from spinsense.serialize import dump_json, state_to_dict
+        from spinsense.states import SpinState
+        rng = np.random.default_rng(1)
+        amps = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+        amps[0] = 1e-320
+        state_file = tmp_path / "tiny_lead.json"
+        dump_json(state_to_dict(SpinState.from_amplitudes(HalfInt(10), amps)), state_file)
+        assert run_cli(["constellation", state_file, "--out", tmp_path / "s.json"]) == _NUMERICAL_EXIT
+        assert "overflowed" in capsys.readouterr().err
 
     def test_tour_state_without_subspaces(self, tmp_path):
         # the README tour's coherent+squeezed state: every subspace, down to

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import random_params, random_pure_state
-from spinsense.errors import DomainError
+from spinsense.errors import DomainError, RootFindingError
 from spinsense.majorana import (Constellation, constellation, husimi,
                                 husimi_grid, majorana_poly,
                                 roots_with_multiplicity)
-from spinsense.states import BlochPoint, basis_state, coherent_state, noon_state
+from spinsense.states import BlochPoint, SpinState, basis_state, coherent_state, noon_state
 from spinsense.su2 import HalfInt, so3_matrix
 
 MIRROR = np.diag([-1.0, -1.0, 1.0])
@@ -148,6 +148,14 @@ class TestConstellation:
         assert star.multiplicity == 10
         assert abs(star.point.polar - 0.8) < 1e-8
         assert abs(star.point.azimuth - ((1.1 + math.pi) % (2 * math.pi))) < 1e-8
+
+    def test_overflowing_root_solve_is_typed(self):
+        # a leading amplitude of 1e-320 overflows np.roots' companion matrix
+        rng = np.random.default_rng(1)
+        amps = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+        amps[0] = 1e-320
+        with pytest.raises(RootFindingError, match="overflowed"):
+            constellation(SpinState.from_amplitudes(HalfInt(10), amps))
 
     def test_rotational_covariance(self):
         # constellation(R psi) = (M R_p M) constellation(psi), M = diag(-1,-1,1)

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_params, random_pure_state
 from spinsense.majorana import constellation, husimi, husimi_grid, roots_with_multiplicity
-from spinsense.states import BlochPoint, coherent_state, noon_state
-from spinsense.su2 import HalfInt, so3_matrix
+from spinsense.states import BlochPoint, SpinState, coherent_state, noon_state
+from spinsense.su2 import HalfInt, omega_rotate, omega_so3, so3_matrix
 
 MIRROR = np.diag([-1.0, -1.0, 1.0])
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -109,16 +109,57 @@ def test_husimi_grid_matches_pointwise(twice_j, seed, n_polar, n_azimuth):
     assert np.max(np.abs(grid.q - want)) <= 1e-14
 
 
-@pytest.mark.parametrize("polar", [0.0, 0.3, 1.5, 3.0, math.pi])
+@pytest.mark.parametrize("polar", [0.0, 1e-9, 0.3, 1.5, 3.0, math.pi - 1e-9, math.pi])
 def test_coherent_sweep_one_star_at_mirror_point(polar):
-    # every 2J <= 120: one star of multiplicity 2J at (polar, azimuth + pi)
+    # every 2J <= 120: one star of multiplicity 2J at (polar, azimuth + pi);
+    # at pi - 1e-9 the leading Majorana coefficient is about (5e-10)^(2J),
+    # and a companion matrix of the polynomial overflows at 2J = 34 .. 41
     for twice_j in range(1, 121):
         for azimuth in (0.7, 4.1):
             con = constellation(coherent_state(HalfInt(twice_j), BlochPoint(polar, azimuth)))
             assert len(con.stars) == 1, (twice_j, azimuth)
             assert con.stars[0].multiplicity == twice_j
             want = BlochPoint(polar, azimuth + math.pi).unit_vector
-            assert np.linalg.norm(con.stars[0].point.unit_vector - want) <= 1e-6
+            assert np.linalg.norm(con.stars[0].point.unit_vector - want) <= 1e-9
+
+
+def test_coherent_constellation_needs_no_root_solve(monkeypatch):
+    def no_root_solve(p):
+        raise AssertionError("np.roots called on a coherent state")
+
+    monkeypatch.setattr(np, "roots", no_root_solve)
+    con = constellation(coherent_state(HalfInt(60), BlochPoint(1.1, 0.4)))
+    assert [s.multiplicity for s in con.stars] == [60]
+
+
+@pytest.mark.parametrize("twice_j", [10, 30])
+def test_perturbed_coherent_state_vanish_threshold(twice_j):
+    # a kick of 1e-12 stays below the 1e-10 vanish tolerance of the frame
+    # test; one of 1e-8 splits the 2J-fold star into 2J simple ones
+    coherent = coherent_state(HalfInt(twice_j), BlochPoint(1.1, 0.4)).amps
+    rng = np.random.default_rng(5)
+    kick = rng.standard_normal(twice_j + 1) + 1j * rng.standard_normal(twice_j + 1)
+    kick /= np.linalg.norm(kick)
+    for size, mults in ((1e-12, [twice_j]), (1e-8, [1] * twice_j)):
+        state = SpinState.from_amplitudes(HalfInt(twice_j), coherent + size * kick)
+        assert [s.multiplicity for s in constellation(state).stars] == mults
+
+
+@pytest.mark.parametrize("twice_j", range(2, 31))
+def test_rotated_basis_states_two_multiple_stars(twice_j):
+    # |J, J - k> has a (2J - k)-fold star at the north pole and a k-fold one
+    # at the south pole; rotated by M = omega_so3(w), its stars move by
+    # MIRROR M MIRROR.  The root path must group both rings of roots.
+    for k in range(twice_j + 1):
+        w = np.random.default_rng([twice_j, k]).standard_normal(3)
+        amps = omega_rotate(HalfInt(twice_j), w, np.eye(twice_j + 1)[k])
+        north = MIRROR @ omega_so3(w) @ MIRROR @ np.array([0.0, 0.0, 1.0])
+        want = [(m, u) for m, u in ((twice_j - k, north), (k, -north)) if m]
+        con = constellation(SpinState(HalfInt(twice_j), amps))
+        assert len(con.stars) == len(want), k
+        for m, u in want:
+            assert any(s.multiplicity == m and np.linalg.norm(s.point.unit_vector - u) <= 1e-9
+                       for s in con.stars), (k, m)
 
 
 def test_random_states_have_no_spurious_polar_stars():
