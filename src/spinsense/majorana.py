@@ -14,7 +14,10 @@ other stars is first tested as one 2J-fold star at the mirror image
 (-<Jx>, -<Jy>, <Jz>) / |<J>| of its mean spin, which it is exactly when it
 is coherent (|<J>| = J); the frame test (below) runs only when |<J>| is
 within a relative 1e-9 of J.  Otherwise ``np.roots`` finds every other root
-once (a companion matrix that overflows raises ``RootFindingError``).  A
+once (a companion matrix that overflows raises ``RootFindingError``); when
+the amplitudes lie on one residue class of m mod g > 1 (NOON, King states),
+it solves the degree-2J/g polynomial in w = z^g, each w giving g roots z,
+and all below still runs on the roots z and the original state.  A
 multiple root comes out as a ring; rings are grouped by single linkage on
 the sphere, at chordal scales falling from the whole sphere to 5e-7.  A
 group's centre is its mean in a stereographic chart, well conditioned even
@@ -41,7 +44,7 @@ import numpy as np
 
 from .errors import DomainError, RootFindingError
 from .states import BlochPoint, SpinState, coherent_state
-from .su2 import _rx
+from .su2 import HalfInt, _rx, angular_momentum_moments
 
 _VANISH_TOL = 1e-10        # rotated-frame amplitude of a unit state treated as zero
 _SEEN_TOL = 1e-6           # the amplitude after a k-fold star's vanishing tail must reach this
@@ -210,25 +213,20 @@ def _frame_test(amps, n, centre, k):
     return centre, vanish & seen
 
 
-def _mirror_mean_spin(amps, n):
-    """(-<Jx>, -<Jy>, <Jz>) of the unit amplitude vector, from <J+> in O(dim)
-    (``su2.angular_momentum_moments`` would build and cache the dense
-    operators of every 2J it meets)."""
-    i = np.arange(1, n + 1)
-    jp = np.vdot(amps[:-1], np.sqrt(i * (n + 1.0 - i)) * amps[1:])
-    jz = np.abs(amps) ** 2 @ (n / 2.0 - np.arange(n + 1))
-    return np.array([-jp.real, -jp.imag, jz])
-
-
 def _roots(c):
-    """Roots of sum_k c_k z^k (c[-1] != 0) by ``np.roots``; a companion
-    matrix that overflows, when the leading coefficient is tiny against the
-    others, raises RootFindingError."""
+    """Roots of sum_k c_k z^k (c[0], c[-1] != 0) by ``np.roots``, in w = z^g
+    when the nonzero c_k sit on multiples of g = gcd(k) > 1, each w giving g
+    roots.  A companion matrix that overflows, when the leading coefficient
+    is tiny against the others, raises RootFindingError."""
+    g = int(np.gcd.reduce(np.flatnonzero(c)))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         try:
-            roots = np.roots(c[::-1])
+            roots = np.roots(c[::g][::-1])
             if np.isfinite(roots).all():
-                return roots
+                if g == 1:
+                    return roots
+                turns = np.angle(roots)[:, None] + 2.0 * math.pi * np.arange(g)
+                return (np.abs(roots)[:, None] ** (1.0 / g) * np.exp(1j * turns / g)).ravel()
         except np.linalg.LinAlgError:
             pass
     raise RootFindingError("the root solve overflowed: the leading Majorana coefficient "
@@ -244,7 +242,7 @@ def _stars(amps):
     c = (_sqrt_binomials(n) * amps[::-1])[n_north:n + 1 - n_south]
     roots = np.empty(0, dtype=complex)
     if len(c) > 1:
-        mean = _mirror_mean_spin(amps, n)
+        mean = angular_momentum_moments(HalfInt(n), amps)[0] * [-1.0, -1.0, 1.0]
         size = np.linalg.norm(mean)
         if size >= 0.5 * n * (1.0 - _COHERENT_GATE):
             centre, ok = _frame_test(amps, n, mean[None] / size, np.array([n]))

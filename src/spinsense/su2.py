@@ -388,11 +388,28 @@ def numerical_generator(j: HalfInt, p: RotationParams, k, fd_step: float = 1e-5,
     return g_quad
 
 
+@lru_cache(maxsize=None)
+def _ladder_weights(twice_j: int):
+    """m, m^2, a = <m+1|J+|m> and (2m + 1) a for m = m[1:], and <m+2|J+^2|m>."""
+    m, i = HalfInt(twice_j).m_values(), np.arange(1, twice_j + 1)
+    a = np.sqrt(i * (twice_j + 1.0 - i))
+    return tuple(_readonly(w) for w in (m, m * m, a, (2.0 * m[1:] + 1.0) * a, a[:-1] * a[1:]))
+
+
 def angular_momentum_moments(j: HalfInt, amps: np.ndarray):
-    """Mean vector <J_i> and covariance Cov(J_i, J_j) of a normalized amplitude
-    vector in the canonical basis order.  Returns (mean, cov) as real arrays."""
+    """Mean <J_i> and covariance Cov(J_i, J_j) of a unit amplitude vector, in
+    O(dim) from <J+> = <J_x> + i<J_y>, <J+^2> = <J_x^2> - <J_y^2> + i<{J_x,J_y}>,
+    <{J+,J_z}> = <{J_x,J_z}> + i<{J_y,J_z}> and J(J+1) = <J_x^2 + J_y^2 + J_z^2>."""
     psi = np.asarray(amps, dtype=complex)
-    return _moments(psi, [op @ psi for op in make_operators(j).vector()])
+    m, m2, a, az, a2 = _ladder_weights(j.twice_j)
+    jp, jzp, jp2 = (np.vdot(psi[:-k], w * psi[k:]) for k, w in ((1, a), (1, az), (2, a2)))
+    p = np.abs(psi) ** 2
+    jz, jz2 = p @ m, p @ m2
+    perp = j.j * (j.j + 1.0) * p.sum() - jz2
+    mean = np.array([jp.real, jp.imag, jz])
+    return mean, 0.5 * np.array([[perp + jp2.real, jp2.imag, jzp.real],
+                                 [jp2.imag, perp - jp2.real, jzp.imag],
+                                 [jzp.real, jzp.imag, 2.0 * jz2]]) - mean[:, None] * mean
 
 
 def _moments(psi: np.ndarray, jpsi) -> tuple:

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_params, random_pure_state
+from spinsense.errors import RootFindingError
 from spinsense.majorana import constellation, husimi, husimi_grid, roots_with_multiplicity
-from spinsense.states import BlochPoint, SpinState, coherent_state, noon_state
+from spinsense.states import BlochPoint, SpinState, coherent_state, king_state, noon_state
 from spinsense.su2 import HalfInt, omega_rotate, omega_so3, so3_matrix
+from spinsense.twomode import coherent_plus_squeezed, decompose, default_n_max, squeezed_n_max
 
 MIRROR = np.diag([-1.0, -1.0, 1.0])
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -178,3 +180,68 @@ def test_noon_120_equatorial_roots_of_unity():
     azimuths = np.sort([s.point.azimuth for s in con.stars])
     assert np.max(np.abs(azimuths - 2 * math.pi * np.arange(120) / 120)) <= 1e-10
     assert max(abs(s.point.polar - math.pi / 2) for s in con.stars) <= 1e-10
+
+
+@pytest.mark.parametrize("twice_j", [3, 60, 120, 121, 300])
+def test_noon_stars_exactly_on_the_equator(twice_j):
+    # the NOON polynomial is c_0 + c_2J z^2J: one root of a degree-1
+    # polynomial in w = z^2J, taken to the 2J-th root, puts every star at
+    # |z| = 1 and the azimuths 2 pi / 2J apart to rounding
+    con = constellation(noon_state(HalfInt(twice_j)))
+    assert len(con.stars) == twice_j and all(s.multiplicity == 1 for s in con.stars)
+    polar = np.array([s.point.polar for s in con.stars])
+    assert np.max(np.abs(polar - math.pi / 2)) <= 1e-15
+    azimuths = np.sort([s.point.azimuth % (2 * math.pi) for s in con.stars])
+    gaps = np.diff(np.append(azimuths, azimuths[0] + 2 * math.pi))
+    assert np.max(np.abs(gaps - 2 * math.pi / twice_j)) <= 4e-15
+
+
+def _solved_degrees(monkeypatch, state):
+    degrees = []
+    real_roots = np.roots
+
+    def spy(p):
+        degrees.append(len(p) - 1)
+        return real_roots(p)
+
+    monkeypatch.setattr(np, "roots", spy)
+    constellation(state)
+    return degrees
+
+
+def test_root_solve_in_the_state_z_symmetry(monkeypatch):
+    # amplitudes on one residue class of m mod g are solved in w = z^g
+    alpha, xi = math.sqrt(3.2), math.atanh(0.8)
+    squeezed = decompose(coherent_plus_squeezed(alpha, xi, default_n_max(alpha ** 2),
+                                                n_max_b=squeezed_n_max(xi)))
+    cases = [(noon_state(HalfInt(120)), 1), (king_state(HalfInt(57)), 19),
+             (squeezed.component(HalfInt(16)).state, 8),
+             (random_pure_state(HalfInt(30), np.random.default_rng(30)), 30)]
+    for state, degree in cases:
+        assert _solved_degrees(monkeypatch, state) == [degree], state.j
+
+
+@pytest.mark.parametrize("twice_j", [12, 30, 57, 60])
+def test_king_constellation_has_its_stride_symmetry(twice_j):
+    # a King state's levels differ by multiples of its stride g in m, so a
+    # turn by 2 pi / g about z maps its constellation onto itself
+    state = king_state(HalfInt(twice_j))
+    g = int(np.gcd.reduce(np.diff(np.flatnonzero(state.amps))))
+    turn = 2 * math.pi / g
+    rz = np.array([[math.cos(turn), -math.sin(turn), 0.0],
+                   [math.sin(turn), math.cos(turn), 0.0], [0.0, 0.0, 1.0]])
+    points = constellation(state).expanded()
+    for u in points @ rz.T:
+        assert np.min(np.linalg.norm(points - u, axis=1)) <= 1e-13
+
+
+@pytest.mark.xfail(strict=True, raises=RootFindingError,
+                   reason="the 38-fold ring is wide enough to take in the simple root")
+@pytest.mark.parametrize("k", [1, 38])
+def test_rotated_basis_state_39_multiple_and_simple_star(k):
+    # |J, J - k> at 2J = 39 has a (39 - k)-fold and a k-fold star; no
+    # linkage scale separates the 38-fold ring from the simple root
+    w = np.random.default_rng([39, k, 7]).standard_normal(3)
+    amps = omega_rotate(HalfInt(39), w, np.eye(40)[k])
+    con = constellation(SpinState(HalfInt(39), amps))
+    assert sorted(s.multiplicity for s in con.stars) == [1, 38]

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from conftest import random_params
-from spinsense.errors import DomainError, NumericalToleranceError
-from spinsense.su2 import (TWO_PI, GeneratorFrame, HalfInt, RotationParams, compose,
+from spinsense.errors import DomainError, KingSearchError, NumericalToleranceError
+from spinsense.states import BlochPoint, SpinState, coherent_state, king_state, noon_state
+from spinsense.su2 import (TWO_PI, GeneratorFrame, HalfInt, RotationParams,
+                           angular_momentum_moments, compose,
                            generator_frame, make_operators, numerical_generator,
                            omega_rotate, omega_so3, omega_spherical, rotation_unitary,
                            so3_matrix, so3_omega)
@@ -60,6 +62,40 @@ class TestOperators:
         ops = make_operators(HalfInt(2))
         assert np.allclose(ops.jplus, ops.jx + 1j * ops.jy)
         assert np.allclose(ops.jminus, ops.jplus.conj().T)
+
+
+def _dense_moments(j, psi):
+    """Mean and covariance from the dense J_x, J_y, J_z."""
+    jpsi = [op @ psi for op in make_operators(j).vector()]
+    mean = np.array([np.vdot(psi, v).real for v in jpsi])
+    second = np.array([[np.vdot(a, b).real for b in jpsi] for a in jpsi])
+    return mean, second - np.outer(mean, mean)
+
+
+def _moment_states():
+    for twice_j in range(4, 61):
+        try:
+            yield king_state(HalfInt(twice_j))
+        except KingSearchError:
+            pass
+    for twice_j in range(1, 121, 7):
+        yield noon_state(HalfInt(twice_j))
+        for polar, azimuth in ((0.0, 0.0), (0.3, 1.1), (1.5, 4.0), (math.pi, 0.0)):
+            yield coherent_state(HalfInt(twice_j), BlochPoint(polar, azimuth))
+    rng = np.random.default_rng(120)
+    for twice_j in range(0, 121, 5):
+        yield SpinState.from_amplitudes(HalfInt(twice_j), rng.standard_normal(twice_j + 1)
+                                        + 1j * rng.standard_normal(twice_j + 1))
+
+
+def test_moments_from_ladder_match_dense_operators():
+    # the O(dim) route through J+ and J_z against the dense operators
+    for state in _moment_states():
+        mean, cov = angular_momentum_moments(state.j, state.amps)
+        want_mean, want_cov = _dense_moments(state.j, state.amps)
+        scale = 1e-12 * max(1.0, state.j.j * (state.j.j + 1.0))
+        assert np.max(np.abs(mean - want_mean)) <= scale, state.j
+        assert np.max(np.abs(cov - want_cov)) <= scale, state.j
 
 
 class TestRotationParams:
