@@ -26,12 +26,11 @@ from .errors import (DegenerateInputError, DomainError, NonIdentifiableError,
 from .metrology import (_PROB_FLOOR, PARAM_LABELS_SPHERICAL, QfiMatrix, _finish_fi_matrix,
                         _rank_split, crb, qfi_rotation_matrix)
 from .states import SpinState, coherent_state
-from .su2 import (TWO_PI, HalfInt, RotationParams, compose, generator_frame, make_operators,
+from .su2 import (TWO_PI, HalfInt, RotationParams, generator_frame, make_operators,
                   omega_rotate, omega_so3, omega_spherical, rotation_unitary, so3_omega)
 
 _PSD_TOL = 1e-10
 _COMPLETENESS_TOL = 1e-9
-_ORTHO_TOL = 1e-10
 _MIN_RESOLUTION = 0.35   # rad; a CRB sigma above this flags non-identifiability
 _ROOT_TOL = 1e-12        # eigenvalues of a POVM element below this carry no weight
 _NEWTON_TOL = 1e-10      # rad; a Newton step below this has converged
@@ -42,10 +41,7 @@ _log = logging.getLogger("spinsense")
 
 # calibration geometry for the two-reference optimal-PVM experiment
 _DEFAULT_OFFSET_ANGLE = 0.1
-_OFFSET_AXES = (
-    np.array([0.36, -0.48, 0.80]),
-    np.array([-0.80, 0.36, 0.48]),
-)
+_OFFSET_AXES = np.array([[0.36, -0.48, 0.80], [-0.80, 0.36, 0.48]])     # unit vectors
 
 
 def minimize(*args, **kwargs):
@@ -204,37 +200,27 @@ class EstimationReport:
 
 
 def optimal_pvm(estimate_state: SpinState) -> MeasurementModel:
-    """Projectors onto |psi> and the (orthonormalized) states J_k|psi> for
-    k = x, y, z, completed to a resolution of the identity.
-
-    For probes with vanishing mean spin and isotropic second moments the four
-    states are orthogonal as built; otherwise Gram-Schmidt runs, and a
-    linearly dependent family raises DegenerateInputError.
+    """Projectors onto |psi> and the states J_k|psi> for k = x, y, z,
+    orthonormalized by one modified Gram-Schmidt pass, completed to a
+    resolution of the identity; a linearly dependent family raises
+    DegenerateInputError.
     """
     psi = estimate_state.amps
-    raw = [psi]
+    states = [psi]
     for op in make_operators(estimate_state.j).vector():
         v = op @ psi
         norm = np.linalg.norm(v)
         if norm < 1e-12:
             raise DegenerateInputError("J_k|psi> vanishes; probe is degenerate")
-        raw.append(v / norm)
-    overlaps = max(abs(np.vdot(raw[a], raw[b]))
-                   for a in range(4) for b in range(a + 1, 4))
-    states = [raw[0]]
-    if overlaps <= _ORTHO_TOL:
-        states.extend(raw[1:])
-    else:
-        for v in raw[1:]:
-            w = v.copy()
-            for s in states:
-                w = w - s * np.vdot(s, w)
-            norm = np.linalg.norm(w)
-            if norm < 1e-8:
-                raise DegenerateInputError(
-                    "J_k|psi> family is linearly dependent; cannot build "
-                    "four orthonormal projectors")
-            states.append(w / norm)
+        w = v / norm
+        for s in states:
+            w = w - s * np.vdot(s, w)
+        norm = np.linalg.norm(w)
+        if norm < 1e-8:
+            raise DegenerateInputError(
+                "J_k|psi> family is linearly dependent; cannot build "
+                "four orthonormal projectors")
+        states.append(w / norm)
     elements = [np.outer(s, s.conj()) for s in states]
     elements.append(np.eye(estimate_state.j.dim, dtype=complex) - sum(elements))
     labels = ("psi", "v1", "v2", "v3", "rest")
@@ -343,13 +329,10 @@ class RotationExperiment:
 
     def _information_weights(self, p) -> np.ndarray:
         """Each outcome's stage share of the shots over its probability, for
-        kernel probabilities ``p`` (..., n), each stage's normalized; as in
-        classical_fi, an outcome of probability at or below _PROB_FLOOR
-        carries no information and gets 0."""
-        q = np.concatenate([s / s.sum(axis=-1, keepdims=True)
-                            for s in np.split(p, self.kernel.splits, axis=-1)], axis=-1)
-        keep = q > _PROB_FLOOR
-        return np.where(keep, self._shares / np.where(keep, q, 1.0), 0.0)
+        kernel probabilities ``p`` (..., n); as in classical_fi, an outcome of
+        probability at or below _PROB_FLOOR carries no information and gets 0."""
+        keep = p > _PROB_FLOOR
+        return np.where(keep, self._shares / np.where(keep, p, 1.0), 0.0)
 
 
 def _split_budget(n_shots: int, weights) -> list:
@@ -360,18 +343,14 @@ def _split_budget(n_shots: int, weights) -> list:
 
 def optimal_pvm_experiment(probe: SpinState, reference: RotationParams,
                            offset_angle: float = None) -> RotationExperiment:
-    """Two optimal-PVM stages at references offset from ``reference`` by
-    ``offset_angle``, by default min(0.1, 1/(2J)), about two fixed skew axes
-    (see module docstring)."""
+    """Two optimal-PVM stages at the references R(offset_angle u) R(reference),
+    u each of two fixed skew axes and ``offset_angle`` by default
+    min(0.1, 1/(2J)) (see module docstring), composed as one SO(3) stack."""
     if offset_angle is None:
         offset_angle = min(_DEFAULT_OFFSET_ANGLE, 1.0 / max(probe.j.twice_j, 1))
-    stages = []
-    for axis in _OFFSET_AXES:
-        u = axis / np.linalg.norm(axis)
-        ref = compose(reference, RotationParams.from_omega(offset_angle * u))
-        est_state = SpinState(probe.j, omega_rotate(probe.j, ref.omega, probe.amps))
-        stages.append(optimal_pvm(est_state))
-    return RotationExperiment(probe, stages)
+    refs = so3_omega(omega_so3(offset_angle * _OFFSET_AXES) @ omega_so3(reference.omega))
+    return RotationExperiment(probe, [optimal_pvm(SpinState(probe.j, amps))
+                                      for amps in omega_rotate(probe.j, refs, probe.amps)])
 
 
 def husimi_experiment(probe: SpinState, directions) -> RotationExperiment:
@@ -424,8 +403,7 @@ def grid_probability_table(experiment: RotationExperiment, anchor: RotationParam
     kernel = experiment.kernel
     p = np.vstack([kernel.probabilities(omega_rotate(kernel.j, chunk, psi))
                    for chunk in np.split(w, range(_TABLE_CHUNK, len(w), _TABLE_CHUNK))])
-    return (w, [q / q.sum(axis=1, keepdims=True) for q in np.split(p, kernel.splits, axis=1)],
-            _neighbour_grid(ijk, shape))
+    return w, np.split(p, kernel.splits, axis=1), _neighbour_grid(ijk, shape)
 
 
 def _neighbour_grid(ijk, shape):

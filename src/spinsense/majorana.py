@@ -10,10 +10,12 @@ the rotational-covariance test pins this convention.
 
 Stars are found by rotate-to-pole deflation.  Amplitudes that are exactly
 zero at either end of the basis are exact stars at a pole.  A state with
-other stars is first tested as one 2J-fold star at the mirror image
-(-<Jx>, -<Jy>, <Jz>) / |<J>| of its mean spin, which it is exactly when it
-is coherent (|<J>| = J); the frame test (below) runs only when |<J>| is
-within a relative 1e-9 of J.  Otherwise ``np.roots`` finds every other root
+other stars is first tested as an eigenstate of J.u, u = <J> / |<J>|: a
+k-fold star at the mirror image (-u_x, -u_y, u_z) of u, k = J + |<J>|, and
+a (2J - k)-fold star at its antipode (none when k = 2J, a coherent state).
+A rotated |J, m> state is exactly this; the frame test (below) runs on both
+candidates at once, and only when Var(J.u) is below 1e-9 (2J)^2, which
+every state that passes meets.  Otherwise ``np.roots`` finds every other root
 once (a companion matrix that overflows raises ``RootFindingError``); when
 the amplitudes lie on one residue class of m mod g > 1 (NOON, King states),
 it solves the degree-2J/g polynomial in w = z^g, each w giving g roots z,
@@ -49,7 +51,7 @@ from .su2 import HalfInt, _rx, angular_momentum_moments
 _VANISH_TOL = 1e-10        # rotated-frame amplitude of a unit state treated as zero
 _SEEN_TOL = 1e-6           # the amplitude after a k-fold star's vanishing tail must reach this
 _ISOLATION = 1e-3          # simple star: rounding radius / distance to the nearest other root
-_COHERENT_GATE = 1e-9      # |<J>| below J (1 - this) skips the coherent test, which no such state passes
+_EIGEN_GATE = 1e-9         # Var(J.u) above this (2J)^2 skips the eigenstate test, which no such state passes
 _LINKAGE_SCALES = 2.0 * 4.0 ** -np.arange(12)   # chordal scales, whole sphere down to 5e-7
 
 
@@ -242,12 +244,17 @@ def _stars(amps):
     c = (_sqrt_binomials(n) * amps[::-1])[n_north:n + 1 - n_south]
     roots = np.empty(0, dtype=complex)
     if len(c) > 1:
-        mean = angular_momentum_moments(HalfInt(n), amps)[0] * [-1.0, -1.0, 1.0]
+        mean, cov = angular_momentum_moments(HalfInt(n), amps)
         size = np.linalg.norm(mean)
-        if size >= 0.5 * n * (1.0 - _COHERENT_GATE):
-            centre, ok = _frame_test(amps, n, mean[None] / size, np.array([n]))
-            if ok[0]:
-                return centre, np.array([n])
+        if size > 0.0 and mean @ cov @ mean <= _EIGEN_GATE * (n * size) ** 2:
+            # J.u psi = |<J>| psi: k = J + |<J>| stars at the mirror image of u, the rest opposite
+            k = int(round(0.5 * n + size))
+            mirror = mean / size * [-1.0, -1.0, 1.0]
+            both = 1 if k == n else 2          # a coherent state has no antipodal star
+            mults = np.array([k, n - k][:both])
+            centre, ok = _frame_test(amps, n, np.array([mirror, -mirror][:both]), mults)
+            if ok.all():
+                return centre, mults
         roots = _roots(c)
     raw, radius = _root_points(c, roots)
     pole = np.repeat([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]], [n_south, n_north], axis=0)

@@ -98,19 +98,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _make_operators_cached(twice_j: int) -> OperatorSet:
     j = HalfInt(twice_j)
-    dim = j.dim
-    m = j.m_values()
-    jz = np.diag(m).astype(complex)
-    jplus = np.zeros((dim, dim), dtype=complex)
-    # <J m+1 | J+ | J m> = sqrt(J(J+1) - m(m+1)); column index i has m = J - i
-    jj1 = j.j * (j.j + 1.0)
-    for i in range(1, dim):
-        mm = m[i]
-        jplus[i - 1, i] = math.sqrt(jj1 - mm * (mm + 1.0))
+    jz = np.diag(j.m_values()).astype(complex)
+    jplus = np.diag(_ladder_weights(twice_j)[2], 1).astype(complex)
     jminus = jplus.conj().T
     jx = (jplus + jminus) / 2.0
     jy = (jplus - jminus) / 2.0j
-    jsq = jj1 * np.eye(dim, dtype=complex)
+    jsq = j.j * (j.j + 1.0) * np.eye(j.dim, dtype=complex)
     return OperatorSet(
         j=j,
         jx=_readonly(jx),
@@ -253,10 +246,9 @@ def _omega_of(raw: np.ndarray) -> np.ndarray:
 def _jx_eigenbasis(twice_j: int):
     """m values in basis order, and real eigenvectors of J_x whose column i
     has the eigenvalue m[i] exactly."""
-    m = HalfInt(twice_j).m_values()
-    off = np.sqrt(twice_j / 2.0 * (twice_j / 2.0 + 1.0) - m[1:] * (m[1:] + 1.0)) / 2.0
-    _, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return _readonly(m), _readonly(vecs[:, ::-1].copy())
+    m, _, a = _ladder_weights(twice_j)[:3]
+    _, vecs = np.linalg.eigh(np.diag(a / 2.0, 1) + np.diag(a / 2.0, -1))
+    return m, _readonly(vecs[:, ::-1].copy())
 
 
 def _rx(twice_j: int, phase, amps) -> np.ndarray:

@@ -61,7 +61,7 @@ class TestMeasurementModel:
 
 
 class TestOptimalPvm:
-    def test_king_orthogonal_without_gram_schmidt(self, king3):
+    def test_king_pvm_states_orthonormal(self, king3):
         pvm = optimal_pvm(king3)
         states = []
         for e in pvm.elements[:4]:
@@ -93,7 +93,7 @@ class TestOptimalPvm:
 
     def test_gram_schmidt_branch_for_generic_probe(self):
         # a generic state has <J> != 0, so the raw (J.v_k)|psi> overlap |psi>
-        # and the orthogonalization branch engages; the result still resolves
+        # and Gram-Schmidt removes real overlaps; the result still resolves
         # the identity
         rng = np.random.default_rng(54)
         st = SpinState.from_amplitudes(
@@ -111,6 +111,31 @@ class TestOptimalPvm:
         pvm = optimal_pvm(noon_state(HalfInt(6)))
         total = sum(pvm.elements)
         assert np.max(np.abs(total - np.eye(7))) < 1e-9
+
+    @pytest.mark.parametrize("family, twice_j", [("king", 6), ("king", 20), ("king", 60),
+                                                 ("noon", 6), ("random", 6)])
+    @pytest.mark.parametrize("reference", [(0.8, 1.1, 2.3), (0.0, 0.0, 0.0),
+                                           (math.pi - 1e-9, 1.1, 2.3)])
+    def test_experiment_matches_composed_references(self, family, twice_j, reference):
+        # oracle: each stage reference composed through SO(3) and back to
+        # axis-angle, one stage at a time
+        j = HalfInt(twice_j)
+        if family == "random":
+            rng = np.random.default_rng(3)
+            probe = SpinState.from_amplitudes(j, rng.standard_normal(j.dim)
+                                              + 1j * rng.standard_normal(j.dim))
+        else:
+            probe = (king_state if family == "king" else noon_state)(j)
+        ref = RotationParams(*reference)
+        offset = min(0.1, 1.0 / twice_j)
+        want = []
+        for axis in ([0.36, -0.48, 0.80], [-0.80, 0.36, 0.48]):
+            u = np.array(axis) / np.linalg.norm(axis)
+            stage_ref = compose(ref, RotationParams.from_omega(offset * u))
+            want.append(optimal_pvm(SpinState(j, omega_rotate(j, stage_ref.omega, probe.amps))))
+        got = optimal_pvm_experiment(probe, ref).stages
+        for a, b in zip(got, want):
+            assert np.max(np.abs(np.array(a.elements) - np.array(b.elements))) < 1e-13
 
     def test_degenerate_probe(self):
         # coherent states satisfy (J.n)|psi> = J|psi>, which collapses the
@@ -1006,6 +1031,23 @@ class TestBornKernel:
             for order, (a, b) in enumerate(zip(got, want)):
                 assert np.max(np.abs(a - b[..., real])) < 1e-13 * twice_j ** order
             assert kernel._ops_f.shape[-1] == (8 if stages is exp.stages else 4)
+
+    @pytest.mark.parametrize("twice_j", [6, 20, 120])
+    def test_every_stage_sums_to_one(self, twice_j):
+        # the complement outcome closes each stage to rounding, so a fit
+        # reads the kernel's probabilities without renormalizing them; the
+        # states are 200 random rotations of the probe and, where the
+        # complement is clipped at 0, the state each stage's first element
+        # projects onto
+        probe = king_state(HalfInt(twice_j))
+        rng = np.random.default_rng(twice_j)
+        turned = omega_rotate(probe.j, rng.uniform(-math.pi, math.pi, (200, 3)), probe.amps)
+        for exp in (optimal_pvm_experiment(probe, RotationParams(0.8, 1.1, 2.3)),
+                    husimi_experiment(probe, GPS_J2_DIRECTIONS)):
+            own = [np.linalg.eigh(m.elements[0])[1][:, -1] for m in exp.stages]
+            p = exp.kernel.probabilities(np.vstack([turned, own]))
+            for stage in np.split(p, exp.kernel.splits, axis=1):
+                assert np.max(np.abs(stage.sum(axis=1) - 1.0)) < 1e-13
 
     def test_one_element_model(self, demo_j2_state):
         # a one-element model is its own complement and has no factor columns

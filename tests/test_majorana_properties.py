@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_params, random_pure_state
-from spinsense.errors import RootFindingError
 from spinsense.majorana import constellation, husimi, husimi_grid, roots_with_multiplicity
 from spinsense.states import BlochPoint, SpinState, coherent_state, king_state, noon_state
 from spinsense.su2 import HalfInt, omega_rotate, omega_so3, so3_matrix
@@ -147,11 +146,11 @@ def test_perturbed_coherent_state_vanish_threshold(twice_j):
         assert [s.multiplicity for s in constellation(state).stars] == mults
 
 
-@pytest.mark.parametrize("twice_j", range(2, 31))
+@pytest.mark.parametrize("twice_j", range(2, 41))
 def test_rotated_basis_states_two_multiple_stars(twice_j):
     # |J, J - k> has a (2J - k)-fold star at the north pole and a k-fold one
     # at the south pole; rotated by M = omega_so3(w), its stars move by
-    # MIRROR M MIRROR.  The root path must group both rings of roots.
+    # MIRROR M MIRROR.  The eigenstate test finds both before any root solve.
     for k in range(twice_j + 1):
         w = np.random.default_rng([twice_j, k]).standard_normal(3)
         amps = omega_rotate(HalfInt(twice_j), w, np.eye(twice_j + 1)[k])
@@ -235,13 +234,39 @@ def test_king_constellation_has_its_stride_symmetry(twice_j):
         assert np.min(np.linalg.norm(points - u, axis=1)) <= 1e-13
 
 
-@pytest.mark.xfail(strict=True, raises=RootFindingError,
-                   reason="the 38-fold ring is wide enough to take in the simple root")
 @pytest.mark.parametrize("k", [1, 38])
 def test_rotated_basis_state_39_multiple_and_simple_star(k):
     # |J, J - k> at 2J = 39 has a (39 - k)-fold and a k-fold star; no
-    # linkage scale separates the 38-fold ring from the simple root
+    # linkage scale separates the 38-fold ring from the simple root, so the
+    # eigenstate test must find both before any root solve
     w = np.random.default_rng([39, k, 7]).standard_normal(3)
     amps = omega_rotate(HalfInt(39), w, np.eye(40)[k])
     con = constellation(SpinState(HalfInt(39), amps))
     assert sorted(s.multiplicity for s in con.stars) == [1, 38]
+
+
+def test_random_states_simple_stars():
+    # generic states fail the eigenstate gate and take the root solve
+    for twice_j in range(2, 41):
+        for seed in range(3):
+            rng = np.random.default_rng([twice_j, 1000 + seed])
+            stars = constellation(random_pure_state(HalfInt(twice_j), rng)).stars
+            assert [s.multiplicity for s in stars] == [1] * twice_j, (twice_j, seed)
+
+
+@pytest.mark.parametrize("twice_j, k", [(34, 1), (300, 1), (300, 2), (300, 299)])
+def test_rotated_basis_state_needs_no_root_solve(monkeypatch, twice_j, k):
+    # an eigenstate of J.n is its two stars at once; at (34, 1) the root
+    # solve read 34 simple stars, and at 2J = 300 it raised
+    def no_root_solve(p):
+        raise AssertionError("np.roots called on an eigenstate of J.n")
+
+    monkeypatch.setattr(np, "roots", no_root_solve)
+    w = np.random.default_rng([twice_j, k]).standard_normal(3)
+    amps = omega_rotate(HalfInt(twice_j), w, np.eye(twice_j + 1)[k])
+    north = MIRROR @ omega_so3(w) @ MIRROR @ np.array([0.0, 0.0, 1.0])
+    con = constellation(SpinState(HalfInt(twice_j), amps))
+    assert sorted(s.multiplicity for s in con.stars) == sorted([k, twice_j - k])
+    for s in con.stars:
+        want = north if s.multiplicity == twice_j - k else -north
+        assert np.linalg.norm(s.point.unit_vector - want) <= 1e-12

@@ -108,6 +108,35 @@ class TestQfiSingle:
         with pytest.raises(DomainError):
             qfi_single_mixed(np.eye(3), np.eye(3))      # trace 3
 
+    @pytest.mark.parametrize("twice_j", [1, 6, 17, 29])
+    def test_matches_eigenbasis_pair_sum(self, twice_j):
+        # oracle: 2 sum_ik (p_i - p_k)^2 / (p_i + p_k) |<i|G|k>|^2 over pairs
+        # with p_i + p_k > 1e-12; random rho of rank 1, 2 and full
+        dim = twice_j + 1
+        for rank in (1, 2, dim):
+            rng = np.random.default_rng([twice_j, rank])
+            x = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+            rho = x @ x.conj().T / np.vdot(x, x).real
+            p, v = np.linalg.eigh(rho)
+            s = p[:, None] + p[None, :]
+            weight = np.divide((p[:, None] - p[None, :]) ** 2, s, out=np.zeros_like(s),
+                               where=s > 1e-12)
+            for g in make_operators(HalfInt(twice_j)).vector():
+                want = 2.0 * np.sum(weight * np.abs(v.conj().T @ g @ v) ** 2)
+                assert abs(qfi_single_mixed(rho, g) - want) <= 1e-13 * max(want, 1.0)
+
+    def test_rho_hermitian_to_the_check_tolerance(self):
+        # rho off Hermitian by 4.5e-10 passes the 1e-9 check; -i[G, rho]
+        # must then be Hermitian by construction, not by that tolerance
+        j = HalfInt(10)
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((j.dim, j.dim)) + 1j * rng.standard_normal((j.dim, j.dim))
+        rho = x @ x.conj().T / np.trace(x @ x.conj().T).real
+        skew = rng.standard_normal((j.dim, j.dim))
+        skew = (skew - skew.T) * 4.5e-10 / np.abs(skew - skew.T).max()
+        g = make_operators(j).jx
+        assert abs(qfi_single_mixed(rho + skew, g) - qfi_single_mixed(rho, g)) < 1e-7
+
     def test_convexity(self):
         # Q(p1 rho1 + p2 rho2) <= p1 Q(rho1) + p2 Q(rho2), random qubits
         rng = np.random.default_rng(34)
