@@ -26,7 +26,7 @@ from .errors import (DegenerateInputError, DomainError, NonIdentifiableError,
 from .metrology import (_PROB_FLOOR, PARAM_LABELS_SPHERICAL, QfiMatrix, _finish_fi_matrix,
                         _rank_split, crb, qfi_rotation_matrix)
 from .states import SpinState, coherent_state
-from .su2 import (TWO_PI, HalfInt, RotationParams, generator_frame, make_operators,
+from .su2 import (TWO_PI, HalfInt, RotationParams, _readonly, generator_frame, make_operators,
                   omega_rotate, omega_so3, omega_spherical, rotation_unitary, so3_omega)
 
 _PSD_TOL = 1e-10
@@ -52,12 +52,11 @@ def minimize(*args, **kwargs):
 
 
 class BornKernel:
-    """Born probabilities of stacked POVMs and their rotation derivatives.
+    """Born probabilities of stacked measurement models and their rotation derivatives.
 
-    Each element but the last of each model is factored once as
-    E_x = F_x F_x^dag from its eigendecomposition, and the columns of every
-    F_x stack into one dim x K matrix F.  With a = F^dag psi,
-    b_k = F^dag J_k psi and c_kl = F^dag S_kl psi, where
+    Each model holds its elements but the last as factors, E_x = F_x F_x^dag
+    (see MeasurementModel), whose columns stack into one dim x K matrix F.
+    With a = F^dag psi, b_k = F^dag J_k psi and c_kl = F^dag S_kl psi, where
     S_kl = (J_k J_l + J_l J_k)/2, each summed over the columns of outcome x:
 
         p_x = |a|^2,
@@ -69,33 +68,30 @@ class BornKernel:
     p_last = 1 - sum p_x, clipped at 0 against rounding, and minus their
     sums for its derivatives.  So K is 8 for the optimal-PVM pair and 4 for
     four Husimi directions at every J, whose "rest" and "miss" elements have
-    rank dim - 4 and dim - 1.  Outcomes of all models are concatenated in
-    model order; ``splits`` cuts the flat outcome axis back into models.  A
-    state is a vector of shape (dim,), or a stack of shape (..., dim) of
-    states whose results share the stack's leading axes.
+    rank dim - 4 and dim - 1.  O F, for O in 1, J_k and S_kl, comes from the
+    cached dense J in O(dim^2 K), and nothing is decomposed.  Outcomes of
+    all models are concatenated in model order; ``splits`` cuts the flat
+    outcome axis back into models.  A state is a vector of shape (dim,), or
+    a stack of shape (..., dim) of states whose results share the stack's
+    leading axes.
     """
 
-    def __init__(self, element_lists):
-        lasts = np.cumsum([len(elems) for elems in element_lists]) - 1
-        dim = element_lists[0][0].shape[0]
-        self.j = HalfInt(dim - 1)
+    def __init__(self, models):
+        lasts = np.cumsum([len(m.labels) for m in models]) - 1
         self.splits = lasts[:-1] + 1
         unit = np.eye(lasts[-1] + 1)
         self._offset = unit[lasts].sum(axis=0)
-        cols, seg = [np.zeros((dim, 0))], []
-        for elems, last in zip(element_lists, lasts):
-            for x, e in enumerate(elems[:-1], last + 1 - len(elems)):
-                vals, vecs = np.linalg.eigh(e)
-                keep = vals > _ROOT_TOL
-                cols.append(vecs[:, keep] * np.sqrt(vals[keep]))
-                seg += [unit[x] - unit[last]] * int(keep.sum())
-        self._seg_t = np.array(seg).reshape(-1, len(unit))
+        # each factor column's outcome, less its model's complement outcome
+        self._seg_t = np.vstack([unit[first + m.owners] - unit[last]
+                                 for m, first, last in zip(models, np.r_[0, self.splits], lasts)])
+        f = np.hstack([m.factors for m in models])
+        self.j = HalfInt(len(f) - 1)
         jv = np.stack(make_operators(self.j).vector())
-        jj = jv[:, None] @ jv[None, :]
-        sym = 0.5 * (jj + jj.transpose(1, 0, 2, 3))
-        ops = np.concatenate([np.eye(dim)[None], jv, sym.reshape(9, dim, dim)])
-        # (F^dag O)^T for O in 1, J, S: a state row times it gives F^dag O psi
-        self._ops_f = (np.hstack(cols).conj().T @ ops).transpose(0, 2, 1).copy()
+        jf = jv @ f
+        jjf = jv[:, None] @ jf[None]            # J_k J_l F
+        sym = 0.5 * (jjf + jjf.transpose(1, 0, 2, 3))
+        # (F^dag O)^T = conj(O F): a state row times it gives F^dag O psi
+        self._ops_f = np.concatenate([f[None], jf, sym.reshape(9, *f.shape)]).conj()
 
     def probabilities(self, psi) -> np.ndarray:
         """Outcome probabilities, shape (..., n) for psi of shape (..., dim)."""
@@ -120,39 +116,70 @@ class BornKernel:
         return p, dp, 2.0 * d2 @ self._seg_t
 
 
-@dataclass(frozen=True)
 class MeasurementModel:
-    """Finite POVM with named outcomes."""
+    """Finite POVM with named outcomes, held as factors: E_x = F_x F_x^dag for
+    each outcome x but the last, F_x the columns c of the read-only
+    ``factors`` (dim, K) with ``owners[c]`` = x, and the last is
+    1 - sum_x E_x.  Dense elements are checked, and factored by the eigh of
+    their positivity test; ``from_kets`` checks kets on their Gram matrix
+    alone.  ``elements`` is formed from the factors on first read."""
 
-    elements: tuple
-    labels: tuple
-
-    def __post_init__(self):
-        elems = tuple(np.asarray(e, dtype=complex) for e in self.elements)
-        dim = elems[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for e in elems:
-            if e.shape != (dim, dim):
-                raise DomainError("all POVM elements must share one dimension")
-            if np.max(np.abs(e - e.conj().T)) > 1e-9:
-                raise DomainError("POVM elements must be Hermitian")
-            if np.linalg.eigvalsh(e)[0] < -_PSD_TOL:
-                raise DomainError("POVM elements must be positive semidefinite")
-            total += e
-        if np.max(np.abs(total - np.eye(dim))) > _COMPLETENESS_TOL:
+    def __init__(self, elements, labels):
+        self.labels = tuple(labels)
+        elems = [np.asarray(e, dtype=complex) for e in elements]
+        if not elems:
+            raise DomainError("need at least one POVM element")
+        dim = len(elems[0]) if elems[0].ndim == 2 else -1
+        if any(e.shape != (dim, dim) for e in elems):
+            raise DomainError("POVM elements must be square matrices of one dimension")
+        stack = np.array(elems)
+        if not np.isfinite(stack).all():
+            raise DomainError("POVM elements must be finite")
+        if np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) > 1e-9:
+            raise DomainError("POVM elements must be Hermitian")
+        vals, vecs = np.linalg.eigh(stack)
+        if vals[:, 0].min() < -_PSD_TOL:
+            raise DomainError("POVM elements must be positive semidefinite")
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(dim))) > _COMPLETENESS_TOL:
             raise DomainError("POVM elements must resolve the identity")
-        for e in elems:
-            e.setflags(write=False)
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != len(elems):
             raise DomainError("need one label per POVM element")
+        keep = vals[:-1] > _ROOT_TOL        # the last element is the others' complement
+        self.factors = _readonly(vecs[:-1].transpose(1, 0, 2)[:, keep] * np.sqrt(vals[:-1][keep]))
+        self.owners = np.nonzero(keep)[0]
+
+    @classmethod
+    def from_kets(cls, kets, labels) -> "MeasurementModel":
+        """{|k><k| for each column k of ``kets`` (dim, K), 1 - sum_k |k><k|}:
+        Hermitian and complete by construction, and positive semidefinite
+        when the kets' Gram matrix has no eigenvalue above 1 (to 1e-10)."""
+        model = cls.__new__(cls)
+        model.labels = tuple(labels)
+        kets = _readonly(np.array(kets, dtype=complex))
+        if kets.ndim != 2:
+            raise DomainError("kets must be the columns of a (dim, K) array")
+        gram = kets.conj().T @ kets
+        if not (np.isfinite(gram).all() and np.all(np.linalg.eigvalsh(gram) <= 1.0 + _PSD_TOL)):
+            raise DomainError("the kets' projectors must sum to at most the identity")
+        if len(model.labels) != kets.shape[1] + 1:
+            raise DomainError("need one label per ket and one for the complement")
+        model.factors = kets
+        model.owners = np.arange(kets.shape[1])
+        return model
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The dense elements, read-only: each F_x F_x^dag, then the complement."""
+        f = [self.factors[:, self.owners == x] for x in range(len(self.labels) - 1)]
+        elems = [fx @ fx.conj().T for fx in f]
+        elems.append(np.eye(len(self.factors), dtype=complex) - sum(elems))
+        return tuple(_readonly(e) for e in elems)
 
     @cached_property
     def kernel(self) -> BornKernel:
         """The model's own Born kernel, built on first use: an experiment
         builds one kernel for all its stages, so its models need none."""
-        return BornKernel([self.elements])
+        return BornKernel([self])
 
     def probabilities(self, state: SpinState) -> np.ndarray:
         return self.kernel.probabilities(state.amps)
@@ -221,10 +248,7 @@ def optimal_pvm(estimate_state: SpinState) -> MeasurementModel:
                 "J_k|psi> family is linearly dependent; cannot build "
                 "four orthonormal projectors")
         states.append(w / norm)
-    elements = [np.outer(s, s.conj()) for s in states]
-    elements.append(np.eye(estimate_state.j.dim, dtype=complex) - sum(elements))
-    labels = ("psi", "v1", "v2", "v3", "rest")
-    return MeasurementModel(elements=tuple(elements), labels=labels)
+    return MeasurementModel.from_kets(np.column_stack(states), ("psi", "v1", "v2", "v3", "rest"))
 
 
 def husimi_design(j: HalfInt, directions) -> list:
@@ -242,26 +266,21 @@ def husimi_design(j: HalfInt, directions) -> list:
         for b in range(a + 1, len(vecs)):
             if np.linalg.norm(vecs[a] - vecs[b]) < 1e-9:
                 raise DomainError(f"directions {a} and {b} coincide")
-    models = []
-    for p in pts:
-        probe = coherent_state(j, p)
-        proj = np.outer(probe.amps, probe.amps.conj())
-        models.append(MeasurementModel(
-            elements=(proj, np.eye(j.dim, dtype=complex) - proj),
-            labels=("hit", "miss")))
-    return models
+    return [MeasurementModel.from_kets(coherent_state(j, p).amps[:, None], ("hit", "miss"))
+            for p in pts]
 
 
 def simulate_shots(model: MeasurementModel, true_state: SpinState,
                    n_shots: int, seed) -> ShotRecord:
     """Multinomial draw from the Born probabilities; deterministic in seed."""
+    n_shots = _integral(n_shots, "n_shots")
     if n_shots < 1:
         raise DomainError("n_shots must be positive")
     p = model.probabilities(true_state)
     p = p / p.sum()
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(int(n_shots), p)
-    return ShotRecord(counts=counts, n_shots=int(n_shots), seed=seed,
+    counts = rng.multinomial(n_shots, p)
+    return ShotRecord(counts=counts, n_shots=n_shots, seed=seed,
                       labels=model.labels)
 
 
@@ -274,9 +293,9 @@ class RotationExperiment:
         self.stages = list(stages)
         self.weights = np.full(len(self.stages), 1.0 / len(self.stages))
         self._j = probe.j
-        self.kernel = BornKernel([m.elements for m in self.stages])
+        self.kernel = BornKernel(self.stages)
         # each outcome's stage share of the shots
-        self._shares = np.repeat(self.weights, [len(m.elements) for m in self.stages])
+        self._shares = np.repeat(self.weights, [len(m.labels) for m in self.stages])
 
     def rotated_amps(self, params: RotationParams) -> np.ndarray:
         return rotation_unitary(self._j, params) @ self.probe.amps
@@ -296,7 +315,7 @@ class RotationExperiment:
         """The stages' counts, concatenated, one row per seed of ``seeds``:
         each stage draws as simulate_shots does with seed (seed, s), from
         the experiment kernel's probabilities, computed once for all rows."""
-        shots = _split_budget(n_shots, self.weights)
+        shots = _split_budget(_integral(n_shots, "n_shots"), self.weights)
         if min(shots) < 1:
             raise DomainError("n_shots must be positive")
         probs = self.stage_probabilities(true_params)
@@ -333,6 +352,16 @@ class RotationExperiment:
         probability at or below _PROB_FLOOR carries no information and gets 0."""
         keep = p > _PROB_FLOOR
         return np.where(keep, self._shares / np.where(keep, p, 1.0), 0.0)
+
+
+def _integral(value, name) -> int:
+    """``value`` as an int: an integer, or an integral float such as 1e4, as
+    serialize._integer reads a config; a fraction or a bool raises DomainError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _split_budget(n_shots: int, weights) -> list:
@@ -834,6 +863,7 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
     5% a study tolerates, so such a study raises UnreliableRunError, whose
     message counts the dropped trials.
     """
+    n_shots, n_trials = _integral(n_shots, "n_shots"), _integral(n_trials, "n_trials")
     if n_trials < 2:
         raise DomainError("need at least 2 trials")
     qfi = qfi_rotation_matrix(probe, true_params)
@@ -892,8 +922,8 @@ def monte_carlo_qcrb(probe: SpinState, true_params: RotationParams, scheme: str,
         estimate=mean_params,
         empirical_cov=emp_cov,
         crb_bound=bound.bound,
-        n_shots=int(n_shots),
-        n_trials=int(n_trials),
+        n_shots=n_shots,
+        n_trials=n_trials,
         n_failed=int(n_failed),
         mse=stats["mse"],
         bias_sq=stats["bias_sq"],

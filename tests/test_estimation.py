@@ -42,6 +42,34 @@ class TestMeasurementModel:
         with pytest.raises(DomainError):
             MeasurementModel(elements=(bad, rest), labels=("a", "b"))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_elements_rejected(self, bad):
+        # unchecked, such a pair at J = 1/2 reads p = [0, 1] with only a RuntimeWarning
+        e = np.array([[bad, 0.0], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(DomainError):
+            MeasurementModel(elements=(e, np.eye(2) - e), labels=("a", "b"))
+
+    def test_no_elements_rejected(self):
+        with pytest.raises(DomainError):
+            MeasurementModel(elements=(), labels=())
+
+    @pytest.mark.parametrize("elements", [(1.0,), (np.ones(2), np.zeros(2)),
+                                          (np.eye(2), np.zeros((3, 3)))])
+    def test_elements_that_are_not_square_matrices_of_one_size_rejected(self, elements):
+        with pytest.raises(DomainError):
+            MeasurementModel(elements=elements, labels=("a",) * len(elements))
+
+    def test_kets_whose_projectors_exceed_the_identity_rejected(self, king3):
+        ket = king3.amps[:, None]
+        with pytest.raises(DomainError):
+            MeasurementModel.from_kets(np.hstack([ket, ket]), ("a", "b", "rest"))
+        with pytest.raises(DomainError):
+            MeasurementModel.from_kets(ket, ("a",))
+        with pytest.raises(DomainError):
+            MeasurementModel.from_kets(king3.amps, ("a", "rest"))
+        with pytest.raises(DomainError):
+            MeasurementModel.from_kets(np.full_like(ket, np.nan), ("a", "rest"))
+
     def test_experiment_models_build_no_kernel(self, king3):
         # an experiment's stages share its kernel; a model builds its own
         # only when used on its own
@@ -229,6 +257,15 @@ class TestSimulateShots:
         for k in range(2):
             sigma = math.sqrt(p[k] * (1 - p[k]) * rec.n_shots)
             assert abs(rec.counts[k] - p[k] * rec.n_shots) < 3.0 * sigma
+
+    @pytest.mark.parametrize("n_shots", [1500.7, True, np.bool_(True), "1500"])
+    def test_fractional_or_bool_shots_rejected(self, king3, n_shots):
+        with pytest.raises(DomainError):
+            simulate_shots(optimal_pvm(king3), king3, n_shots, 3)
+
+    def test_integral_float_shots_accepted(self, king3):
+        rec = simulate_shots(optimal_pvm(king3), king3, 1e4, 3)
+        assert rec.n_shots == 10_000 and isinstance(rec.n_shots, int)
 
     def test_record_invariants(self):
         with pytest.raises(DomainError):
@@ -976,7 +1013,7 @@ class TestBornKernel:
         else:
             probe = demo_j2_state
             stages = husimi_design(probe.j, [BlochPoint(0.8, 0.4)])
-        kernel = estimation.BornKernel([m.elements for m in stages])
+        kernel = estimation.BornKernel(stages)
         psi = rotation_unitary(probe.j, RotationParams(0.9, 1.0, 2.1)) @ probe.amps
         p, dp, d2p = kernel.derivatives(psi, second=True)
         expect = [np.vdot(psi, e @ psi).real for m in stages for e in m.elements]
@@ -1022,9 +1059,11 @@ class TestBornKernel:
                                      omega_rotate(probe.j, q.omega, probe.amps))
                         for q in points for scale in (0.0, 1e-4, 1e-2)])
         for stages in (exp.stages, husimi):
-            kernel = estimation.BornKernel([m.elements for m in stages])
+            kernel = estimation.BornKernel(stages)
             zero = np.zeros((probe.j.dim, probe.j.dim))
-            factored = estimation.BornKernel([m.elements + (zero,) for m in stages])
+            factored = estimation.BornKernel([MeasurementModel(m.elements + (zero,),
+                                                               m.labels + ("zero",))
+                                              for m in stages])
             real = np.concatenate([np.arange(len(m.elements)) + k * (len(m.elements) + 1)
                                    for k, m in enumerate(stages)])
             got, want = kernel.derivatives(psi, True), factored.derivatives(psi, True)
@@ -1049,18 +1088,66 @@ class TestBornKernel:
             for stage in np.split(p, exp.kernel.splits, axis=1):
                 assert np.max(np.abs(stage.sum(axis=1) - 1.0)) < 1e-13
 
+    @pytest.mark.parametrize("case", ["pvm_2j6", "pvm_2j60", "pvm_2j200", "gps_j2"])
+    def test_ket_built_kernel_matches_dense_built(self, case):
+        # one POVM through from_kets and through the dense constructor's
+        # eigh, at 50 random rotations of the probe (seed fixed before
+        # looking)
+        if case == "gps_j2":
+            probe = SpinState.from_amplitudes(HalfInt(4), DEMO_J2_AMPS)
+            stages = husimi_design(probe.j, GPS_J2_DIRECTIONS)
+        else:
+            probe = king_state(HalfInt(int(case[6:])))
+            stages = optimal_pvm_experiment(probe, RotationParams(0.8, 1.1, 2.3)).stages
+        dense = [MeasurementModel(m.elements, m.labels) for m in stages]
+        rng = np.random.default_rng(29)
+        psi = omega_rotate(probe.j, rng.uniform(-math.pi, math.pi, (50, 3)), probe.amps)
+        got = estimation.BornKernel(stages).derivatives(psi, second=True)
+        want = estimation.BornKernel(dense).derivatives(psi, second=True)
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_library_models_need_no_decomposition(self, monkeypatch):
+        # the library's models are built from their kets: building an
+        # experiment takes no eigh or eigvalsh of a dim x dim matrix, and
+        # sampling and fitting a study forms no dense element
+        truth = RotationParams(0.8, 1.1, 2.3)
+        figure3 = SpinState.from_amplitudes(HalfInt(4), DEMO_J2_AMPS)
+        cases = [(king_state(HalfInt(6)), truth), (king_state(HalfInt(60)), truth),
+                 (figure3, None)]
+        for probe, _ in cases:      # the rotations' own cached J_x eigenbasis
+            omega_rotate(probe.j, np.zeros(3), probe.amps)
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            def counting(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+                shapes.append(np.shape(a)[-2:])
+                return _fn(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        for probe, anchor in cases:
+            shapes.clear()
+            exp = (husimi_experiment(probe, GPS_J2_DIRECTIONS) if anchor is None
+                   else optimal_pvm_experiment(probe, anchor))
+            assert (probe.j.dim,) * 2 not in shapes
+            counts = exp.sample_counts(truth, 10_000, [0, 1]).astype(float)
+            omega, errors, _, _ = estimation._fit_trials(
+                exp, counts, grid_probability_table(exp, anchor), anchor)
+            assert not errors and np.isfinite(omega).all()
+            assert all("elements" not in vars(m) for m in exp.stages)
+
     def test_one_element_model(self, demo_j2_state):
         # a one-element model is its own complement and has no factor columns
         dim = demo_j2_state.j.dim
         proj = np.outer(DEMO_J2_AMPS, DEMO_J2_AMPS.conj()) / np.vdot(DEMO_J2_AMPS, DEMO_J2_AMPS)
         turned = demo_j2_state.rotate(RotationParams(0.4, 1.0, 2.0))
         psi = np.array([demo_j2_state.amps, turned.amps])
-        alone = estimation.BornKernel([[np.eye(dim)]])
+        everything = MeasurementModel((np.eye(dim),), ("all",))
+        alone = estimation.BornKernel([everything])
         assert alone._ops_f.shape[-1] == 0
         p, dp, d2p = alone.derivatives(psi, second=True)
         assert np.array_equal(p, np.ones((2, 1)))
         assert not dp.any() and not d2p.any()
-        mixed = estimation.BornKernel([[proj, np.eye(dim) - proj], [np.eye(dim)]])
+        pair = MeasurementModel((proj, np.eye(dim) - proj), ("hit", "miss"))
+        mixed = estimation.BornKernel([pair, everything])
         p, dp, d2p = mixed.derivatives(psi, second=True)
         assert mixed._ops_f.shape[-1] == 1
         assert np.array_equal(p[:, 2], [1.0, 1.0]) and not dp[..., 2].any()
@@ -1207,6 +1294,22 @@ class TestMonteCarlo:
         monte_carlo_qcrb(demo_j2_state, RotationParams(0.9, 1.2, 0.7), "husimi",
                          400_000, 2, 3, directions=GPS_J2_DIRECTIONS)
         assert sizes == [9171]
+
+    @pytest.mark.parametrize("n_shots, n_trials", [(1500.7, 20), (True, 20), (1500, 3.9),
+                                                   (1500, True)])
+    def test_fractional_or_bool_counts_rejected(self, king3, n_shots, n_trials):
+        # a fraction would draw floor(n_shots) shots but take the bound at n_shots
+        with pytest.raises(DomainError):
+            monte_carlo_qcrb(king3, RotationParams(0.8, 1.1, 2.3), "optimal_pvm",
+                             n_shots, n_trials, 7)
+
+    def test_integral_float_counts_accepted(self, king3):
+        p_true = RotationParams(0.8, 1.1, 2.3)
+        a = monte_carlo_qcrb(king3, p_true, "optimal_pvm", 2e3, 12.0, 9)
+        b = monte_carlo_qcrb(king3, p_true, "optimal_pvm", 2000, 12, 9)
+        assert (a.n_shots, a.n_trials) == (2000, 12) and isinstance(a.n_shots, int)
+        assert np.array_equal(a.crb_bound, b.crb_bound)
+        assert np.array_equal(a.empirical_cov, b.empirical_cov)
 
     def test_unknown_scheme(self, king3):
         with pytest.raises(DomainError):
